@@ -53,7 +53,7 @@ from repro.scheduling.queue import JobQueue
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.events import Event
 from repro.simkit.timers import PeriodicTimer
-from repro.workloads.job import Job, JobState
+from repro.workloads.job import Job
 from repro.workloads.workflow import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - reliability is an optional layer
@@ -284,7 +284,7 @@ class REServer:
         for task in workflow.tasks:
             self._wf_of_task[task.job_id] = workflow
         self.submitted_jobs += len(workflow.tasks)
-        for task in workflow.ready_tasks():
+        for task in workflow.release():
             task.mark_queued(self.engine.now)
             self.queue.push(task)
         self._wake_scan()
@@ -401,7 +401,10 @@ class REServer:
         self.completed.append(job)
         workflow = self._wf_of_task.get(job.job_id)
         if workflow is not None:
-            self._release_ready_tasks(workflow)
+            now = self.engine.now
+            for task in workflow.release(job):
+                task.mark_queued(now)
+                self.queue.push(task)
             if workflow.completed():
                 for hook in list(self.on_workflow_complete):
                     hook(workflow)
@@ -423,12 +426,6 @@ class REServer:
         )
         for hook in self.idle_increase_hooks:
             hook()
-
-    def _release_ready_tasks(self, workflow: Workflow) -> None:
-        for task in workflow.ready_tasks():
-            if task.state is JobState.PENDING:
-                task.mark_queued(self.engine.now)
-                self.queue.push(task)
 
     # ------------------------------------------------------------------ #
     # teardown / metrics

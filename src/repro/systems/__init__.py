@@ -15,7 +15,7 @@
   emulator").
 """
 
-from repro.systems.base import WorkloadBundle, clone_workflow
+from repro.systems.base import WorkloadBundle
 from repro.systems.consolidation import ConsolidationResult, run_all_systems
 
 #: The paper's Tables 2-4 column order — the canonical home (the
@@ -35,7 +35,6 @@ __all__ = [
     "JobEmulator",
     "SYSTEM_ORDER",
     "WorkloadBundle",
-    "clone_workflow",
     "run_all_systems",
     "run_dawningcloud_consolidated",
     "run_dawningcloud_htc",

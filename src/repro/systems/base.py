@@ -26,11 +26,6 @@ HOUR = 3600.0
 MTC_HORIZON_CP_FACTOR = 10.0
 
 
-def clone_workflow(workflow: Workflow) -> Workflow:
-    """Deep copy of a workflow with pristine execution state."""
-    return workflow.clone()
-
-
 @dataclass
 class WorkloadBundle:
     """One service provider's workload and its fixed-system configuration."""
@@ -99,7 +94,7 @@ class WorkloadBundle:
     def materialize_workflow(self) -> Workflow:
         if self.workflow is None:
             raise ValueError(f"bundle {self.name!r} is not an MTC bundle")
-        return clone_workflow(self.workflow)
+        return self.workflow.clone()
 
     @property
     def n_jobs(self) -> int:

@@ -37,7 +37,7 @@ from repro.provisioning.policies import PerJobLease, PooledLease
 from repro.simkit.engine import SimulationEngine
 from repro.systems.base import LiveRun, WorkloadBundle, run_until
 from repro.systems.emulator import JobEmulator
-from repro.workloads.job import Job, JobState
+from repro.workloads.job import Job
 from repro.workloads.workflow import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - reliability is an optional layer
@@ -171,7 +171,7 @@ class _DrpMtcUserPool:
     def submit(self, workflow: Workflow) -> None:
         self.workflow = workflow
         self.submitted += len(workflow.tasks)
-        for task in workflow.ready_tasks():
+        for task in workflow.release():
             self._start(task)
 
     def _start(self, task: Job) -> None:
@@ -185,9 +185,8 @@ class _DrpMtcUserPool:
         task.mark_completed(self.engine.now)
         self.completed.append(task)
         assert self.workflow is not None
-        for ready in self.workflow.ready_tasks():
-            if ready.state is JobState.PENDING:
-                self._start(ready)
+        for ready in self.workflow.release(task):
+            self._start(ready)
         if self.workflow.completed():
             self.teardown()
 

@@ -626,8 +626,13 @@ def hour_ceil(seconds: float, unit: float = 3600.0) -> int:
 
 
 def validate_dependencies(jobs: Sequence[Job]) -> None:
-    """Check that dependencies reference known jobs and form no cycle."""
-    by_id = {j.job_id: j for j in jobs}
+    """Check that job ids are unique, dependencies reference known jobs
+    and form no cycle."""
+    by_id: dict[int, Job] = {}
+    for job in jobs:
+        if job.job_id in by_id:
+            raise ValueError(f"duplicate job id {job.job_id}")
+        by_id[job.job_id] = job
     for job in jobs:
         for dep in job.dependencies:
             if dep not in by_id:

@@ -5,6 +5,10 @@ tasks and exposes the structural queries the MTC server and the experiment
 harness need: topological levels, critical-path length, ready-set
 computation, and validation.  The DAG itself is a :class:`networkx.DiGraph`
 whose nodes are job ids.
+
+Dependency release is incremental: the servers call :meth:`Workflow.release`
+once at submission and once per task completion, and each call costs
+O(out-degree) rather than a rescan of every task and dependency edge.
 """
 
 from __future__ import annotations
@@ -39,14 +43,26 @@ class Workflow:
                     f"expected {self.workflow_id}"
                 )
         validate_dependencies(self.tasks)
-        self._by_id = {t.job_id: t for t in self.tasks}
+        #: job id -> index in ``tasks``; shared by every clone
+        self._position = {t.job_id: i for i, t in enumerate(self.tasks)}
         self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self._by_id)
+        self.graph.add_nodes_from(self._position)
         for task in self.tasks:
             for dep in task.dependencies:
                 self.graph.add_edge(dep, task.job_id)
         if not nx.is_directed_acyclic_graph(self.graph):  # defensive; validated above
             raise ValueError("workflow graph is not acyclic")
+        # Release tables, read-only and shared by every clone like
+        # ``graph``: each task's successors as indices into ``tasks`` (so
+        # in id order), and per index the number of distinct dependencies
+        # (``(1, 1)`` is a single edge).
+        position = self._position
+        self._successors = {
+            jid: tuple(sorted(position[s] for s in succ))
+            for jid, succ in self.graph.succ.items()
+        }
+        self._indegree = tuple(len(self.graph.pred[jid]) for jid in position)
+        self._rewind()
 
     # ------------------------------------------------------------------ #
     # structure
@@ -55,7 +71,7 @@ class Workflow:
         return len(self.tasks)
 
     def task(self, job_id: int) -> Job:
-        return self._by_id[job_id]
+        return self.tasks[self._position[job_id]]
 
     def levels(self) -> list[list[int]]:
         """Topological generations (task ids), entry tasks first."""
@@ -75,7 +91,7 @@ class Workflow:
             for jid in gen:
                 preds = list(self.graph.predecessors(jid))
                 base = max((longest[p] for p in preds), default=0.0)
-                longest[jid] = base + self._by_id[jid].runtime
+                longest[jid] = base + self.task(jid).runtime
         return max(longest.values())
 
     def total_work(self) -> float:
@@ -99,32 +115,77 @@ class Workflow:
         out = []
         for t in self.tasks:
             if t.state in (JobState.PENDING, JobState.QUEUED) and all(
-                self._by_id[d].state is JobState.COMPLETED for d in t.dependencies
+                self.task(d).state is JobState.COMPLETED for d in t.dependencies
             ):
                 out.append(t)
         return out
 
+    def release(self, task: Optional[Job] = None) -> list[Job]:
+        """PENDING tasks that just became ready, in id order.
+
+        ``release()`` returns the PENDING tasks with no unmet dependency
+        (at submission: the entry tasks).  ``release(task)``, called once
+        after ``task`` completed, counts it off its successors' unmet
+        dependencies and returns the PENDING successors that reached zero.
+        A task becomes ready only when its last dependency completes, so
+        this is exactly what a :meth:`ready_tasks` rescan would newly find,
+        in the same order, at O(out-degree) per completion.
+        """
+        tasks, unmet = self.tasks, self._unmet
+        pending = JobState.PENDING
+        if task is None:
+            return [t for t, n in zip(tasks, unmet) if not n and t.state is pending]
+        ready = []
+        for i in self._successors[task.job_id]:
+            left = unmet[i] - 1
+            unmet[i] = left
+            if not left and tasks[i].state is pending:
+                ready.append(tasks[i])
+        return ready
+
     def completed(self) -> bool:
-        return all(t.state is JobState.COMPLETED for t in self.tasks)
+        """Every task is COMPLETED.
+
+        COMPLETED is terminal until :meth:`reset`, so the check advances a
+        cursor over the completed prefix of ``tasks``: polling after every
+        engine step (``systems.base.run_until``) is amortised O(1).
+        """
+        tasks = self.tasks
+        done = self._done
+        n = len(tasks)
+        while done < n and tasks[done].state is JobState.COMPLETED:
+            done += 1
+        self._done = done
+        return done == n
 
     def reset(self) -> None:
         for t in self.tasks:
             t.reset()
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Fresh per-run release state: unmet counts and completed prefix."""
+        self._unmet = list(self._indegree)
+        self._done = 0
 
     def clone(self) -> "Workflow":
         """Replay copy: fresh pristine tasks, shared immutable topology.
 
         Skips re-validation and the DiGraph rebuild — the structure was
-        proven acyclic at construction and the graph (job ids only) is
-        never mutated, so clones may share it.
+        proven acyclic at construction, and the graph (job ids only), the
+        id index and the release tables are never mutated, so clones may
+        share them.
         """
         new = Workflow.__new__(Workflow)
         new.workflow_id = self.workflow_id
         new.name = self.name
         new.submit_time = self.submit_time
         new.tasks = [clone_job(t) for t in self.tasks]
-        new._by_id = {t.job_id: t for t in new.tasks}
+        new._position = self._position
         new.graph = self.graph
+        new._successors = self._successors
+        new._indegree = self._indegree
+        new._rewind()
         return new
 
     def makespan(self) -> Optional[float]:

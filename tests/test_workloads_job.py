@@ -137,3 +137,13 @@ class TestValidateDependencies:
     def test_self_dependency_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             validate_dependencies([make_job(1, deps=(1,))])
+
+    @pytest.mark.parametrize("same_object", [True, False])
+    def test_duplicate_ids_rejected_before_cycle_check(self, same_object):
+        first = make_job(1)
+        second = first if same_object else make_job(1, runtime=5)
+        with pytest.raises(ValueError, match="duplicate job id 1$"):
+            validate_dependencies([first, second])
+
+    def test_duplicate_dependency_ids_accepted(self):
+        validate_dependencies([make_job(1), make_job(2, deps=(1, 1))])
