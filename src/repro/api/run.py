@@ -18,9 +18,7 @@ This module is the executable half of the spec API:
   tables, sweeps and analyses are declarative artifact specs dispatched
   here.
 
-:func:`run_four_systems` also lives here now — the canonical home of the
-Tables 2-4 primitive (``repro.experiments.runner`` keeps a deprecated
-shim).
+:func:`run_four_systems` also lives here: the Tables 2-4 primitive.
 """
 
 from __future__ import annotations
@@ -138,13 +136,13 @@ def resolve_engine_kernel(
     Two engines exist: ``exact`` (the canonical pure-Python event loop —
     also what *no* ref means, so adding this field never changes a spec
     digest) and ``hybrid`` (the opt-in fluid/vectorized core), with
-    optional params ``kernel`` (``python``/``numpy``/``numba``, default
-    ``numpy``) and ``materialize`` (default ``True``).  ``exact`` maps to
-    ``"off"`` rather than ``None`` so a spec saying *exact* beats any
-    ambient ``REPRO_KERNEL`` — a spec is a complete description of its
-    run.
+    optional params ``kernel`` (only ``numpy``, the default) and
+    ``materialize`` (default ``True``).  ``exact`` maps to ``"off"``
+    rather than ``None`` so a spec saying *exact* beats any ambient
+    ``REPRO_KERNEL`` — a spec is a complete description of its run, and
+    ``exact`` is its one way to ask for the exact engine.
     """
-    from repro.simkit.kernel import KERNEL_BACKENDS, OFF_VALUES
+    from repro.simkit.kernel import KERNEL_NAME, KernelConfigError
 
     if engine is None:
         return None
@@ -166,14 +164,14 @@ def resolve_engine_kernel(
             f"engine 'hybrid' has unknown param(s) {sorted(unknown)}; "
             f"known: ['kernel', 'materialize']"
         )
-    backend = params.get("kernel", "numpy")
-    if backend not in KERNEL_BACKENDS and backend not in OFF_VALUES:
-        raise ValueError(
-            f"engine 'hybrid' kernel must be one of {list(KERNEL_BACKENDS)} "
-            f"(or {list(OFF_VALUES[1:])}), got {backend!r}"
+    kernel = params.get("kernel", KERNEL_NAME)
+    if kernel != KERNEL_NAME:
+        raise KernelConfigError(
+            f"engine 'hybrid' kernel must be {KERNEL_NAME!r}, got {kernel!r} "
+            f"(engine 'exact' selects the exact engine)"
         )
     return {
-        "kernel": backend,
+        "kernel": kernel,
         "materialize": bool(params.get("materialize", True)),
     }
 
@@ -341,11 +339,12 @@ def build_live_system(
     The live-run counterpart of :func:`run_system`: the same component
     resolution (policy, billing, failures, engine kernel), stopped
     before any event executes so the caller can ingest, advance, fork
-    and retarget.  Supports the runners with a live-run class — ``dcs``,
-    ``ssp`` and ``dawningcloud`` — which is also exactly the set the
-    serving layer can host; others (DRP's per-job leasing, the pooled
-    queue) only exist as run-to-completion functions today and raise a
-    loud :class:`ValueError`.
+    and retarget.  Supports ``dcs``, ``ssp`` and ``dawningcloud``, which
+    is also exactly the set the serving layer can host.  DRP and the
+    pooled queue have live-run classes (``DrpHtcLiveRun``,
+    ``DrpMtcLiveRun``, ``DrpPooledLiveRun``, ``PooledQueueLiveRun``) but
+    no spec-level construction here, so their runners raise a loud
+    :class:`ValueError`.
     """
     from repro.systems.fixed import FixedLiveRun
 

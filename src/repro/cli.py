@@ -246,10 +246,9 @@ def _profile_scenarios(selected, overrides: dict, args) -> int:
     """Profile each selected scenario with cProfile; dump .pstats files.
 
     Every scenario runs twice in-process: a warm-up pass (imports, trace
-    parsing, numba compilation when present) and the profiled pass, so
-    the dump reflects steady-state simulation cost.  The cache is
-    deliberately bypassed — a cached replay profiles JSON loading, not
-    the simulation.
+    parsing) and the profiled pass, so the dump reflects steady-state
+    simulation cost.  The cache is deliberately bypassed — a cached
+    replay profiles JSON loading, not the simulation.
     """
     import cProfile
     import io
@@ -546,11 +545,10 @@ def main(argv: list[str] | None = None) -> int:
              "(the reliability family) at this per-node MTBF",
     )
     parser.add_argument(
-        "--kernel", choices=("off", "python", "numpy", "numba"), default=None,
+        "--kernel", choices=("off", "numpy"), default=None,
         help="simulation core for this invocation: 'off' forces the exact "
-             "engine; a backend name enables the hybrid fluid/vectorized "
-             "core process-wide (equivalent to REPRO_KERNEL; exact results "
-             "either way)",
+             "engine; 'numpy' enables the hybrid fluid/vectorized core "
+             "process-wide (sets REPRO_KERNEL; exact results either way)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -680,11 +678,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.kernel is not None:
         import os
 
-        from repro.simkit.kernel import KERNEL_ENV_VAR, configure
+        from repro.simkit.kernel import KERNEL_ENV_VAR
 
-        # both: configure() for this process, the env var for pool workers
+        # read by this process and inherited by pool workers
         os.environ[KERNEL_ENV_VAR] = args.kernel
-        configure(args.kernel)
 
     if args.no_cache:
         cache = NullCache()

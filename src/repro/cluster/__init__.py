@@ -4,14 +4,13 @@
   "time unit of leasing resources: one hour").
 * :mod:`repro.cluster.provision` — the resource provision service: grants,
   rejections, reclaims, adjustment accounting (§3.2.2.3 provision policy).
-* :mod:`repro.cluster.node` / :mod:`repro.cluster.vm` — node and virtual
-  machine state machines used by the CSF's deployment emulation.
+* :mod:`repro.cluster.vm` — the virtual machine state machine used by
+  the CSF's deployment emulation.
 * :mod:`repro.cluster.setup` — per-node setup (wipe/redeploy) cost model
   (§4.5.4: 15.743 s per adjusted node).
 """
 
 from repro.cluster.lease import Lease, LeaseLedger
-from repro.cluster.node import Node, NodePool, NodeState
 from repro.cluster.provision import ProvisionError, ResourceProvisionService
 from repro.cluster.setup import SetupCostModel, SetupPolicy
 from repro.cluster.vm import VirtualMachine, VMProvisionService, VMState
@@ -19,9 +18,6 @@ from repro.cluster.vm import VirtualMachine, VMProvisionService, VMState
 __all__ = [
     "Lease",
     "LeaseLedger",
-    "Node",
-    "NodePool",
-    "NodeState",
     "ProvisionError",
     "ResourceProvisionService",
     "SetupCostModel",

@@ -7,8 +7,6 @@
   scan intervals.
 * :mod:`repro.core.servers` — the TRE servers (HTC and MTC variants):
   queueing, dispatch, workflow dependency tracking.
-* :mod:`repro.core.negotiation` — the dynamic resource negotiation
-  mechanism between a TRE server and the resource provision service.
 * :mod:`repro.core.lifecycle` / :mod:`repro.core.tre` /
   :mod:`repro.core.csf` — TRE lifecycle management and the common service
   framework (§3.1).
@@ -27,7 +25,6 @@ from repro.core.csf import CommonServiceFramework
 from repro.core.dawningcloud import DawningCloud
 from repro.core.dsp import MODEL_COMPARISON, CloudRole, UsageModel
 from repro.core.lifecycle import TREState
-from repro.core.negotiation import DynamicResourceManager
 from repro.core.policies import ResourceManagementPolicy, ResourceProvisionPolicy
 from repro.core.servers import REServer
 from repro.core.tre import RuntimeEnvironmentSpec, ThinRuntimeEnvironment
@@ -41,7 +38,6 @@ __all__ = [
     "policy_catalog",
     "CommonServiceFramework",
     "DawningCloud",
-    "DynamicResourceManager",
     "MODEL_COMPARISON",
     "REServer",
     "ResourceManagementPolicy",

@@ -6,7 +6,7 @@ explores that space: every class here is duck-compatible with
 :class:`repro.core.policies.ResourceManagementPolicy` — it exposes
 ``initial_nodes``, ``scan_interval_s``, ``release_check_interval_s`` and
 ``dynamic_request_size(queue_demand, biggest_job, owned)`` — so it drops
-into :class:`repro.core.negotiation.DynamicResourceManager`,
+into :class:`repro.provisioning.policies.ConsolidatedAllocation`,
 :class:`repro.core.dawningcloud.DawningCloud` and every experiment runner
 unchanged.
 

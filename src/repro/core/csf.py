@@ -19,9 +19,9 @@ from __future__ import annotations
 from repro.cluster.provision import ResourceProvisionService
 from repro.cluster.vm import VMProvisionService
 from repro.core.lifecycle import LifecycleService, TREState
-from repro.core.negotiation import DynamicResourceManager
 from repro.core.servers import REServer
 from repro.core.tre import RuntimeEnvironmentSpec, ThinRuntimeEnvironment
+from repro.provisioning.policies import ConsolidatedAllocation
 from repro.simkit.engine import SimulationEngine
 
 
@@ -63,7 +63,7 @@ class CommonServiceFramework:
             spec.default_scheduler(),
             spec.policy.scan_interval_s,
         )
-        manager = DynamicResourceManager(self.engine, server, self.provision, spec.policy)
+        manager = ConsolidatedAllocation(self.engine, server, self.provision, spec.policy)
         tre = ThinRuntimeEnvironment(spec, server, manager)
         if not dynamic:
             # fixed-size RE: suppress the resize rule but keep the lease

@@ -4,7 +4,7 @@ A :class:`REServer` is the paper's "HTC server"/"MTC server": it accepts
 submissions, keeps the job queue, dispatches jobs onto the nodes its TRE
 currently owns, and tracks completion metrics.  Resource *resizing* is not
 its business — that is attached separately by
-:class:`repro.core.negotiation.DynamicResourceManager` (DawningCloud) or
+:class:`repro.provisioning.policies.ConsolidatedAllocation` (DawningCloud) or
 fixed once at startup (DCS/SSP), which is exactly the paper's separation
 between the server and the resource provision service.
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from repro.core.lifecycle import LifecycleStateMachine
-from repro.core.negotiation import DynamicResourceManager
 from repro.core.policies import ResourceManagementPolicy
 from repro.core.servers import REServer
+from repro.provisioning.policies import ConsolidatedAllocation
 from repro.scheduling.base import Scheduler
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.firstfit import FirstFitScheduler
@@ -87,7 +87,7 @@ class ThinRuntimeEnvironment:
         self,
         spec: RuntimeEnvironmentSpec,
         server: REServer,
-        manager: Optional[DynamicResourceManager] = None,
+        manager: Optional[ConsolidatedAllocation] = None,
     ) -> None:
         self.spec = spec
         self.server = server

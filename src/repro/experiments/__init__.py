@@ -2,8 +2,6 @@
 
 * :mod:`repro.experiments.config` — the paper's workloads, parameters and
   sweep grids in one place.
-* :mod:`repro.experiments.runner` — runs one workload through all four
-  systems (a Tables 2-4 experiment).
 * :mod:`repro.experiments.sweep` — B×R parameter sweeps (Figures 9-11).
 * :mod:`repro.experiments.tables` — Table 1 and Tables 2-4 as row dicts.
 * :mod:`repro.experiments.figures` — Figures 12-14 series.
@@ -47,7 +45,6 @@ from repro.experiments.paperdata import (
     check_headline_shapes,
     check_table_shapes,
 )
-from repro.experiments.runner import run_four_systems  # deprecated shim
 from repro.experiments.sweep import SweepPoint, sweep_htc_parameters, sweep_mtc_parameters
 from repro.experiments.tables import table1, table_for_bundle
 
@@ -102,7 +99,6 @@ __all__ = [
     "figure12_13_14",
     "montage_bundle",
     "nasa_bundle",
-    "run_four_systems",
     "sweep_htc_parameters",
     "sweep_mtc_parameters",
     "table1",

@@ -73,11 +73,12 @@ def million_node_year(
     fluid tier must engage — a fallback to the exact engine at this size
     is a gate regression and raises rather than silently taking hours.
     """
+    from repro.simkit.kernel import OFF_VALUES
     from repro.systems.fixed import FixedLiveRun
 
     horizon = years * YEAR_S
     bundle = build_uniform_trace(seed, int(nodes), int(n_jobs), horizon)
-    spec = None if kernel in ("", "off", "exact") else {
+    spec = None if kernel in OFF_VALUES else {
         "kernel": kernel, "materialize": False,
     }
     systems = {}

@@ -1,16 +1,15 @@
 """Shared cluster state: the provisioning kernel's node inventory.
 
-:class:`ClusterState` is what every system runner provisions against.  It
-replaces :class:`repro.cluster.node.NodePool`'s per-node object loops on
-the hot path:
+:class:`ClusterState` is what every system runner provisions against.
+It keeps counts and identity ranges, never per-node objects:
 
 * the free set is a **sorted list of disjoint id ranges** — ``assign`` and
   ``reclaim`` move whole ranges with :mod:`bisect` indexing, so granting a
   500-node lease touches O(log segments) list entries instead of 500
-  ``Node`` objects (and a DRP-sized pool of 10^6 nodes costs one range,
+  per-node objects (and a DRP-sized pool of 10^6 nodes costs one range,
   not 10^6 allocations);
-* per-owner holdings are range stacks (LIFO, matching ``NodePool``'s
-  most-recently-assigned-first reclaim order);
+* per-owner holdings are range stacks (LIFO: reclaim takes the most
+  recently assigned nodes first);
 * **failed nodes** live in a third range index alongside free and busy
   (see :mod:`repro.reliability`): :meth:`ClusterState.fail_free` /
   :meth:`ClusterState.fail_owned` move nodes out of service,
@@ -20,10 +19,6 @@ the hot path:
 * aggregate counts, the adjustment counter, and the **busy node-second
   integral** accumulate incrementally at each assign/reclaim instant, so
   accounting reads are O(1) instead of a scan over recorded events.
-
-The per-node state machine (``FREE → ASSIGNING → ...``) stays available in
-:mod:`repro.cluster.node` for components that model the setup window
-explicitly; the kernel only needs counts and identity ranges.
 """
 
 from __future__ import annotations

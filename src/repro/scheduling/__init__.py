@@ -19,8 +19,6 @@ Extensions beyond the paper, used by the ablation benchmarks:
   across end users (the related-work scheduler the paper contrasts with).
 """
 
-import warnings
-
 from repro.api.registry import register_component
 from repro.scheduling.backfill import EasyBackfillScheduler
 from repro.scheduling.base import RunningJob, Scheduler
@@ -45,28 +43,6 @@ for _name, _cls in SCHEDULER_REGISTRY.items():
 del _name, _cls
 
 
-def make_scheduler(name: str) -> Scheduler:
-    """Deprecated: use the component registry instead.
-
-    ``repro.api.default_components().create("scheduler", name)`` is the
-    spec-API spelling; this shim keeps old call sites working.
-    """
-    warnings.warn(
-        "make_scheduler() is deprecated; use "
-        "repro.api.default_components().create('scheduler', name) or name "
-        "the scheduler in a SystemSpec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        cls = SCHEDULER_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; known: {sorted(SCHEDULER_REGISTRY)}"
-        ) from None
-    return cls()
-
-
 __all__ = [
     "ConservativeBackfillScheduler",
     "EasyBackfillScheduler",
@@ -78,5 +54,4 @@ __all__ = [
     "Scheduler",
     "SjfScheduler",
     "WeightedFairShareScheduler",
-    "make_scheduler",
 ]

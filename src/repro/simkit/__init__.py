@@ -12,7 +12,6 @@ which keeps runs deterministic and easy to test.
 
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.events import Event, EventCancelled
-from repro.simkit.process import SimProcess
 from repro.simkit.rng import RandomStreams
 from repro.simkit.timers import OneShotTimer, PeriodicTimer
 
@@ -22,6 +21,5 @@ __all__ = [
     "OneShotTimer",
     "PeriodicTimer",
     "RandomStreams",
-    "SimProcess",
     "SimulationEngine",
 ]

@@ -118,9 +118,9 @@ def try_fluid_run(run: "FixedLiveRun") -> bool:
         STATS["fallbacks"] += 1
         return False
 
-    starts = grid_starts(submit, timer.interval, timer._epoch, spec.backend)
+    starts = grid_starts(submit, timer.interval, timer._epoch)
     finishes = starts + runtimes
-    if peak_concurrency(starts, finishes, sizes, spec.backend) > nodes:
+    if peak_concurrency(starts, finishes, sizes) > nodes:
         STATS["fallbacks"] += 1
         return False
 

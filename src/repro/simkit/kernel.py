@@ -9,50 +9,36 @@ module holds those operations; :mod:`repro.simkit.fluid` decides *when*
 they may replace the event loop (the eligibility gates) and applies the
 results to the live world.
 
-Three interchangeable backends compute each operation:
+Each operation has one implementation, in numpy.  Elementwise float64
+arithmetic in numpy is IEEE-754-identical to CPython's float arithmetic,
+so the results equal the scalar computation the exact engine performs
+bit for bit; ``tests/test_differential_kernel.py`` keeps those scalar
+loops as oracles and asserts it.
 
-``python``
-    Pure-Python loops — the readable reference, and the proof text for
-    the bit-identity argument (each loop is literally the scalar
-    computation the exact engine performs).
-``numpy``
-    Vectorized column ops.  Elementwise float64 arithmetic in numpy is
-    IEEE-754-identical to CPython's float arithmetic, so results match
-    the ``python`` backend bit for bit (asserted in
-    ``tests/test_differential_kernel.py``).
-``numba``
-    The ``python`` loops compiled with :func:`numba.njit` (no fastmath,
-    so IEEE semantics are preserved).  numba is optional: when the wheel
-    is absent the backend **falls back cleanly to numpy** — requesting
-    ``numba`` never fails, it just runs the vectorized path.
+Selection (lower to higher precedence):
 
-Backend selection (lowest to highest precedence):
+1. the ``REPRO_KERNEL`` environment variable: ``numpy`` enables the
+   hybrid core process-wide; ``off``/``exact``/unset keep the exact
+   engine;
+2. an explicit ``kernel=`` argument on a runner: ``"numpy"``, a
+   ``{"kernel": ..., "materialize": ...}`` mapping, or ``"off"`` to force
+   the exact engine.  The spec layer's ``engine`` reference maps onto it.
 
-1. the ``REPRO_KERNEL`` environment variable (``python``/``numpy``/
-   ``numba`` enable the hybrid core process-wide; ``off``/``exact``/unset
-   keep the exact engine),
-2. :func:`configure` / the :func:`configured` context manager,
-3. an explicit ``kernel=`` argument on a runner (a backend name, a
-   ``{"kernel": ..., "materialize": ...}`` mapping, a
-   :class:`KernelSpec`, or ``"off"`` to force the exact engine), which
-   also maps from the spec layer's ``engine`` reference.
-
-The default everywhere is **off**: the pure-Python exact engine remains
-canonical, and every golden pin runs against it.
+Any other value raises :class:`KernelConfigError`.  The default
+everywhere is **off**: the pure-Python exact engine remains canonical,
+and every golden pin runs against it.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
-#: The recognised backend names, in reference → fastest order.
-KERNEL_BACKENDS = ("python", "numpy", "numba")
+#: The value that enables the hybrid core.
+KERNEL_NAME = "numpy"
 
 #: Flag values that mean "exact engine, no kernel".
 OFF_VALUES = ("", "off", "exact")
@@ -60,77 +46,21 @@ OFF_VALUES = ("", "off", "exact")
 #: The environment flag the hybrid core is gated behind.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_CONFIGURED: Optional[str] = None  # configure() override; "" = forced off
-_NUMBA_OPS: Optional[tuple] = None  # lazily compiled njit functions
-_NUMBA_AVAILABLE: Optional[bool] = None  # memoized import probe
-
 
 class KernelConfigError(ValueError):
-    """Raised for unrecognised kernel/backend selections."""
+    """Raised for unrecognised kernel selections."""
 
 
-def numba_available() -> bool:
-    """True when the optional numba wheel can be imported."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            _NUMBA_AVAILABLE = False
-        else:  # pragma: no cover - requires the optional wheel
-            _NUMBA_AVAILABLE = True
-    return _NUMBA_AVAILABLE
-
-
-def resolve_backend(name: str) -> str:
-    """Normalize a backend name; ``numba`` degrades to numpy when absent."""
-    if name not in KERNEL_BACKENDS:
-        raise KernelConfigError(
-            f"unknown kernel backend {name!r}; known: {list(KERNEL_BACKENDS)} "
-            f"(or {list(OFF_VALUES[1:])} for the exact engine)"
-        )
-    if name == "numba" and not numba_available():
-        return "numpy"
-    return name
-
-
-def configure(kernel: Optional[str]) -> None:
-    """Set the process-wide kernel override.
-
-    ``configure("numpy")`` enables the hybrid core for every subsequent
-    run in this process (beating the environment variable);
-    ``configure("off")`` forces it off; ``configure(None)`` removes the
-    override, falling back to ``REPRO_KERNEL``.
-    """
-    global _CONFIGURED
-    if kernel is None:
-        _CONFIGURED = None
-    elif kernel in OFF_VALUES:
-        _CONFIGURED = ""
-    else:
-        _CONFIGURED = resolve_backend(kernel)
-
-
-@contextmanager
-def configured(kernel: Optional[str]):
-    """Scoped :func:`configure` for tests and probes."""
-    global _CONFIGURED
-    previous = _CONFIGURED
-    configure(kernel)
-    try:
-        yield
-    finally:
-        _CONFIGURED = previous
-
-
-def active_kernel() -> Optional[str]:
-    """The ambient backend name, or None when the hybrid core is off."""
-    if _CONFIGURED is not None:
-        return _CONFIGURED or None
-    env = os.environ.get(KERNEL_ENV_VAR, "")
-    if env in OFF_VALUES:
-        return None
-    return resolve_backend(env)
+def _enabled(name: object, what: str = "kernel") -> bool:
+    """True for ``"numpy"``, False for an off value; anything else raises."""
+    if name == KERNEL_NAME:
+        return True
+    if name in OFF_VALUES:
+        return False
+    raise KernelConfigError(
+        f"unknown {what} {name!r}; accepted: {KERNEL_NAME!r} (hybrid core) "
+        f"or {list(OFF_VALUES[1:])} (exact engine)"
+    )
 
 
 @dataclass(frozen=True)
@@ -146,27 +76,22 @@ class KernelSpec:
     Python objects are never created and only aggregate metrics exist.
     """
 
-    backend: str
     materialize: bool = True
 
 
 def resolve_kernel_spec(
-    value: Union[None, str, Mapping[str, Any], KernelSpec],
+    value: Union[None, str, Mapping[str, Any]],
 ) -> Optional[KernelSpec]:
     """A runner's ``kernel=`` argument → a :class:`KernelSpec` or None.
 
-    ``None`` defers to the ambient selection (:func:`active_kernel`);
-    ``"off"``/``"exact"`` force the exact engine regardless of it.
+    ``None`` defers to ``REPRO_KERNEL``; ``"off"``/``"exact"`` force the
+    exact engine regardless of it.
     """
     if value is None:
-        backend = active_kernel()
-        return None if backend is None else KernelSpec(backend)
-    if isinstance(value, KernelSpec):
-        return KernelSpec(resolve_backend(value.backend), value.materialize)
+        env = os.environ.get(KERNEL_ENV_VAR, "")
+        return KernelSpec() if _enabled(env, f"${KERNEL_ENV_VAR}") else None
     if isinstance(value, str):
-        if value in OFF_VALUES:
-            return None
-        return KernelSpec(resolve_backend(value))
+        return KernelSpec() if _enabled(value) else None
     if isinstance(value, Mapping):
         unknown = set(value) - {"kernel", "materialize"}
         if unknown:
@@ -174,55 +99,27 @@ def resolve_kernel_spec(
                 f"unknown kernel option(s) {sorted(unknown)}; "
                 f"valid: ['kernel', 'materialize']"
             )
-        backend = value.get("kernel", "numpy")
-        if backend in OFF_VALUES:
+        if not _enabled(value.get("kernel", KERNEL_NAME)):
             return None
-        return KernelSpec(
-            resolve_backend(backend), bool(value.get("materialize", True))
-        )
+        return KernelSpec(bool(value.get("materialize", True)))
     raise KernelConfigError(
-        f"kernel must be a backend name, mapping or KernelSpec, "
-        f"got {type(value).__name__}"
+        f"kernel must be a name or mapping, got {type(value).__name__}"
     )
 
 
 # --------------------------------------------------------------------- #
 # column operations
 # --------------------------------------------------------------------- #
-def _grid_indices_python(
+def _grid_indices(
     submit: np.ndarray, interval: float, epoch: float
 ) -> np.ndarray:
-    """Per-job first-eligible-tick indices, scalar reference.
-
-    Replicates :meth:`repro.simkit.timers.PeriodicTimer.resume` for an
-    ``include_now=True`` waker (arrivals are pre-scheduled events, so a
-    submission landing exactly on a grid instant is dispatched by that
-    instant's tick): the ceil candidate is corrected against the product
-    form ``epoch + n*interval`` — the exact instants ticks fire at — in
-    both directions, and tick 0 never dispatches (the timer's first
-    firing is tick 1).
-    """
-    out = np.empty(len(submit), dtype=np.int64)
-    for i, s in enumerate(submit.tolist()):
-        n = int(math.ceil((s - epoch) / interval))
-        if n < 1:
-            n = 1
-        while n > 1 and epoch + (n - 1) * interval >= s:
-            n -= 1
-        while epoch + n * interval < s:
-            n += 1
-        out[i] = n
-    return out
-
-
-def _grid_indices_numpy(
-    submit: np.ndarray, interval: float, epoch: float
-) -> np.ndarray:
+    """Per-job first-eligible-tick indices (see :func:`grid_starts`)."""
     n = np.ceil((submit - epoch) / interval).astype(np.int64)
     np.maximum(n, 1, out=n)
-    # The float-edge guards, vectorized: each masked pass mirrors one
-    # iteration of the scalar while-loops (they converge in <= 2 passes
-    # because ceil is off by at most one ulp-step).
+    # The float-edge guards: the ceil candidate is corrected against the
+    # product form in both directions.  Each masked pass moves every
+    # off-by-one index one step; they converge in <= 2 passes because
+    # ceil is off by at most one ulp-step.
     while True:
         down = (n > 1) & (epoch + (n - 1) * interval >= submit)
         if not down.any():
@@ -236,54 +133,20 @@ def _grid_indices_numpy(
     return n
 
 
-def _numba_ops() -> tuple:
-    """Compile (once) and return the njit'd operations."""
-    global _NUMBA_OPS
-    if _NUMBA_OPS is not None:
-        return _NUMBA_OPS
-    import numba  # pragma: no cover - requires the optional wheel
-
-    @numba.njit(cache=False)  # pragma: no cover
-    def grid_indices(submit, interval, epoch):  # pragma: no cover
-        out = np.empty(submit.shape[0], dtype=np.int64)
-        for i in range(submit.shape[0]):
-            s = submit[i]
-            n = np.int64(math.ceil((s - epoch) / interval))
-            if n < 1:
-                n = 1
-            while n > 1 and epoch + (n - 1) * interval >= s:
-                n -= 1
-            while epoch + n * interval < s:
-                n += 1
-            out[i] = n
-        return out
-
-    @numba.njit(cache=False)  # pragma: no cover
-    def running_max(deltas):  # pragma: no cover
-        level = np.int64(0)
-        peak = np.int64(0)
-        for i in range(deltas.shape[0]):
-            level += deltas[i]
-            if level > peak:
-                peak = level
-        return peak
-
-    _NUMBA_OPS = (grid_indices, running_max)
-    return _NUMBA_OPS
-
-
 def grid_starts(
-    submit: np.ndarray,
-    interval: float,
-    epoch: float = 0.0,
-    backend: str = "numpy",
+    submit: np.ndarray, interval: float, epoch: float = 0.0
 ) -> np.ndarray:
     """Dispatch instants for uncontended jobs under a grid-pinned scan.
 
     With no contention, every job starts at the first scan tick at or
     after its submission: ``epoch + n*interval`` with
-    ``n = min{n >= 1 : epoch + n*interval >= submit}``.  The product form
-    ``epoch + n*interval`` is the exact float the timer computes in
+    ``n = min{n >= 1 : epoch + n*interval >= submit}``.  This replicates
+    :meth:`repro.simkit.timers.PeriodicTimer.resume` for an
+    ``include_now=True`` waker (arrivals are pre-scheduled events, so a
+    submission landing exactly on a grid instant is dispatched by that
+    instant's tick), and tick 0 never dispatches (the timer's first
+    firing is tick 1).  The product form ``epoch + n*interval`` is the
+    exact float the timer computes in
     :meth:`~repro.simkit.timers.PeriodicTimer._arm`, and the elementwise
     ``+``/``*`` below are IEEE-identical to the scalar ops, so the
     returned instants equal the exact engine's bit for bit.
@@ -291,20 +154,14 @@ def grid_starts(
     submit = np.ascontiguousarray(submit, dtype=np.float64)
     interval = float(interval)
     epoch = float(epoch)
-    if backend == "python":
-        n = _grid_indices_python(submit, interval, epoch)
-    elif backend == "numba" and numba_available():  # pragma: no cover
-        n = _numba_ops()[0](submit, interval, epoch)
-    else:
-        n = _grid_indices_numpy(submit, interval, epoch)
+    # a separate function, so its masks are freed before the result is
+    # allocated (the pattern fluid-scale's peak-RSS baseline measures)
+    n = _grid_indices(submit, interval, epoch)
     return epoch + n * interval
 
 
 def peak_concurrency(
-    starts: np.ndarray,
-    finishes: np.ndarray,
-    sizes: np.ndarray,
-    backend: str = "numpy",
+    starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray
 ) -> int:
     """Maximum simultaneous node demand of the (start, finish, size) set.
 
@@ -325,13 +182,4 @@ def peak_concurrency(
     )
     order = np.lexsort((tiekey, times))
     ordered = deltas[order]
-    if backend == "python":
-        level = peak = 0
-        for d in ordered.tolist():
-            level += d
-            if level > peak:
-                peak = level
-        return peak
-    if backend == "numba" and numba_available():  # pragma: no cover
-        return int(_numba_ops()[1](ordered))
     return int(np.cumsum(ordered).max())

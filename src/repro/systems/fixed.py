@@ -35,7 +35,7 @@ from repro.provisioning.policies import FixedAllocation
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.firstfit import FirstFitScheduler
 from repro.simkit.engine import SimulationEngine
-from repro.simkit.kernel import KernelSpec, resolve_kernel_spec
+from repro.simkit.kernel import resolve_kernel_spec
 from repro.systems.base import LiveRun, WorkloadBundle, run_until
 from repro.systems.emulator import JobEmulator
 
@@ -54,11 +54,10 @@ class FixedLiveRun(LiveRun):
     completion (MTC); :meth:`finish` tears down and prices the run.
     Snapshot/fork any time in between.
 
-    ``kernel`` opts into the hybrid fluid/event core (a backend name, a
-    ``{"kernel": ..., "materialize": ...}`` mapping, a
-    :class:`~repro.simkit.kernel.KernelSpec`, or ``"off"`` to force the
-    exact engine; ``None`` defers to ``REPRO_KERNEL``/
-    :func:`repro.simkit.kernel.configure`).  A hybrid HTC run holds its
+    ``kernel`` opts into the hybrid fluid/event core (``"numpy"``, a
+    ``{"kernel": ..., "materialize": ...}`` mapping, or ``"off"`` to force
+    the exact engine; ``None`` defers to ``REPRO_KERNEL``, see
+    :mod:`repro.simkit.kernel`).  A hybrid HTC run holds its
     trace back from the event heap; :meth:`complete` then evolves the
     whole horizon in closed form when the fluid tier's gates allow it
     (see :mod:`repro.simkit.fluid`), falling back — byte-identically —
@@ -72,7 +71,7 @@ class FixedLiveRun(LiveRun):
         meter: Optional[BillingMeter] = None,
         failures: Optional["FailureModel"] = None,
         seed: int = 0,
-        kernel: Union[None, str, Mapping[str, Any], KernelSpec] = None,
+        kernel: Union[None, str, Mapping[str, Any]] = None,
     ) -> None:
         engine = self.engine = SimulationEngine()
         emulator = self._emulator = JobEmulator(engine)
@@ -248,7 +247,7 @@ def _run_fixed(
     meter: Optional[BillingMeter] = None,
     failures: Optional["FailureModel"] = None,
     seed: int = 0,
-    kernel: Union[None, str, Mapping[str, Any], KernelSpec] = None,
+    kernel: Union[None, str, Mapping[str, Any]] = None,
 ) -> ProviderMetrics:
     return FixedLiveRun(
         bundle, system, meter=meter, failures=failures, seed=seed, kernel=kernel
@@ -260,7 +259,7 @@ def run_dcs(
     meter: Optional[BillingMeter] = None,
     failures: Optional["FailureModel"] = None,
     seed: int = 0,
-    kernel: Union[None, str, Mapping[str, Any], KernelSpec] = None,
+    kernel: Union[None, str, Mapping[str, Any]] = None,
 ) -> ProviderMetrics:
     """Run a workload on a dedicated cluster system (owned, fixed size)."""
     return _run_fixed(
@@ -273,7 +272,7 @@ def run_ssp(
     meter: Optional[BillingMeter] = None,
     failures: Optional["FailureModel"] = None,
     seed: int = 0,
-    kernel: Union[None, str, Mapping[str, Any], KernelSpec] = None,
+    kernel: Union[None, str, Mapping[str, Any]] = None,
 ) -> ProviderMetrics:
     """Run a workload on a static-service-provision system (leased, fixed)."""
     return _run_fixed(

@@ -19,7 +19,6 @@ This package provides everything the evaluation consumes:
 * :mod:`repro.workloads.pegasus` — the other classic Pegasus workflows
   (CyberShake, Epigenomics, LIGO Inspiral, SIPHT).
 * :mod:`repro.workloads.workflowgen` — generic DAG workload recipes.
-* :mod:`repro.workloads.scaling` — trace rescaling utilities.
 * :mod:`repro.workloads.stats` — workload statistics.
 * :mod:`repro.workloads.store` — the process-wide content-keyed
   :class:`TraceStore` that deduplicates generation across sweep points
@@ -29,7 +28,6 @@ This package provides everything the evaluation consumes:
 from repro.workloads.archive import (
     ARCHIVE,
     archive_names,
-    generate_archive_trace,
     utilization_family,
 )
 from repro.workloads.job import Job, JobState, Trace, TraceArrays
@@ -65,7 +63,6 @@ __all__ = [
     "default_store",
     "paper_trace",
     "archive_names",
-    "generate_archive_trace",
     "generate_htc_trace",
     "generate_montage",
     "generate_pegasus",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from repro.workloads.job import Trace
 from repro.workloads.traces import (
     NASA_IPSC,
     SDSC_BLUE,
@@ -159,31 +158,6 @@ ARCHIVE: dict[str, HTCTraceSpec] = {
 def archive_names() -> list[str]:
     """Catalog entries, sorted by target utilization (light to heavy)."""
     return sorted(ARCHIVE, key=lambda n: ARCHIVE[n].target_utilization)
-
-
-def generate_archive_trace(name: str, seed: int = 0) -> Trace:
-    """Deprecated: use :func:`repro.workloads.store.paper_trace` or the
-    registered workload components (``repro.api``).
-
-    Still routed through the process-wide trace store, so behaviour is
-    unchanged; only the spelling is superseded by the spec API.
-    """
-    import warnings
-
-    warnings.warn(
-        "generate_archive_trace() is deprecated; use "
-        "repro.workloads.store.paper_trace(name, seed) or name the trace "
-        "as a workload in a repro.api spec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if name not in ARCHIVE:
-        raise ValueError(
-            f"unknown archive trace {name!r}; known: {archive_names()}"
-        )
-    from repro.workloads.store import paper_trace
-
-    return paper_trace(name, seed)
 
 
 def spec_with_utilization(spec: HTCTraceSpec, utilization: float) -> HTCTraceSpec:

@@ -1,76 +1,9 @@
-"""Tests for the node pool and VM provisioning state machines."""
+"""Tests for the VM provisioning state machine."""
 
 import pytest
 
-from repro.cluster.node import Node, NodePool, NodeState
 from repro.cluster.vm import VMProvisionService, VMState
 from repro.simkit.engine import SimulationEngine
-
-
-class TestNode:
-    def test_assign_reclaim_cycle(self):
-        node = Node(0)
-        node.begin_assign("tre-a")
-        node.finish_assign()
-        assert node.state is NodeState.ASSIGNED
-        assert node.owner == "tre-a"
-        node.begin_reclaim()
-        node.finish_reclaim()
-        assert node.state is NodeState.FREE
-        assert node.owner is None
-        assert node.adjust_count == 2
-
-    def test_illegal_transition_rejected(self):
-        node = Node(0)
-        with pytest.raises(RuntimeError):
-            node.finish_assign()  # FREE -> ASSIGNED skips ASSIGNING
-
-    def test_cannot_reclaim_free_node(self):
-        node = Node(0)
-        with pytest.raises(RuntimeError):
-            node.begin_reclaim()
-
-
-class TestNodePool:
-    def test_capacity_accounting(self):
-        pool = NodePool(10)
-        pool.assign("a", 4)
-        assert pool.free_count == 6
-        assert pool.owned_count("a") == 4
-
-    def test_over_assignment_rejected(self):
-        pool = NodePool(4)
-        with pytest.raises(ValueError):
-            pool.assign("a", 5)
-
-    def test_reclaim_returns_to_free(self):
-        pool = NodePool(8)
-        pool.assign("a", 5)
-        pool.reclaim("a", 3)
-        assert pool.free_count == 6
-        assert pool.owned_count("a") == 2
-
-    def test_cannot_reclaim_more_than_owned(self):
-        pool = NodePool(8)
-        pool.assign("a", 2)
-        with pytest.raises(ValueError):
-            pool.reclaim("a", 3)
-
-    def test_total_adjustments(self):
-        pool = NodePool(8)
-        pool.assign("a", 4)
-        pool.reclaim("a", 4)
-        assert pool.total_adjustments() == 8
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            NodePool(0)
-
-    def test_two_owners_disjoint(self):
-        pool = NodePool(10)
-        a = {n.node_id for n in pool.assign("a", 4)}
-        b = {n.node_id for n in pool.assign("b", 4)}
-        assert not (a & b)
 
 
 class TestVMProvision:

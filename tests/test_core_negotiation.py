@@ -1,11 +1,12 @@
-"""Tests for the dynamic resource negotiation mechanism (§3.2.1)."""
+"""Tests for the dynamic resource negotiation mechanism (§3.2.1), as
+implemented by the provisioning kernel's ``ConsolidatedAllocation``."""
 
 import pytest
 
 from repro.cluster.provision import ResourceProvisionService
-from repro.core.negotiation import DynamicResourceManager
 from repro.core.policies import ResourceManagementPolicy
 from repro.core.servers import REServer
+from repro.provisioning.policies import ConsolidatedAllocation
 from repro.scheduling.firstfit import FirstFitScheduler
 from tests.conftest import make_job
 
@@ -16,7 +17,7 @@ def build(engine, capacity=100, B=4, R=1.5, scan=60.0):
     provision = ResourceProvisionService(capacity)
     server = REServer(engine, "tre", FirstFitScheduler(), scan)
     policy = ResourceManagementPolicy(B, R, scan)
-    manager = DynamicResourceManager(engine, server, provision, policy)
+    manager = ConsolidatedAllocation(engine, server, provision, policy)
     return provision, server, manager
 
 

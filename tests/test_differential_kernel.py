@@ -5,21 +5,24 @@ accelerator that must be **byte-identical** wherever it engages and must
 **fall back** byte-identically wherever it cannot.  This suite pins both
 directions:
 
-* uncontended fixed-machine runs (DCS and SSP) under every kernel
-  backend — payloads, per-job completion times, usage events and the SSP
-  lease ledger all equal the exact engine's, bit for bit;
+* uncontended fixed-machine runs (DCS and SSP) on the hybrid core —
+  payloads, per-job completion times, usage events and the SSP lease
+  ledger all equal the exact engine's, bit for bit;
 * contended runs, in-horizon failures, hooks and partial advances — the
   fluid gates refuse, and the deferred-trace fallback reproduces the
   exact run byte for byte;
-* the built-in golden scenarios re-run under an ambient kernel
-  (``REPRO_KERNEL``-style configuration) — canonical payloads unchanged,
-  which is the "golden pins survive the flag being ON" guarantee;
-* the kernel column operations agree across backends on random inputs
-  (``numba`` degrades to ``numpy`` when the wheel is absent — asserted,
-  not assumed, so CI without numba still exercises the selection path).
+* the built-in golden scenarios re-run under an ambient ``REPRO_KERNEL``
+  — canonical payloads unchanged, which is the "golden pins survive the
+  flag being ON" guarantee;
+* the numpy column operations equal scalar oracles (the loops the exact
+  engine's arithmetic performs) on random and float-edge inputs;
+* every selection surface rejects anything but ``numpy`` and the off
+  values with an error that names ``numpy``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -29,18 +32,48 @@ from repro.simkit import fluid as fluidmod
 from repro.simkit.kernel import (
     KernelConfigError,
     KernelSpec,
-    configured,
     grid_starts,
-    numba_available,
     peak_concurrency,
-    resolve_backend,
     resolve_kernel_spec,
 )
 from repro.systems.base import WorkloadBundle
 from repro.systems.fixed import FixedLiveRun
 from repro.workloads.job import Trace, TraceArrays
 
-BACKENDS = ("python", "numpy", "numba")
+
+def grid_starts_oracle(submit, interval: float, epoch: float) -> np.ndarray:
+    """Scalar reference for :func:`grid_starts`, one job at a time.
+
+    Replicates :meth:`repro.simkit.timers.PeriodicTimer.resume` for an
+    ``include_now=True`` waker: the ceil candidate is corrected against
+    the product form ``epoch + n*interval`` — the exact instants ticks
+    fire at — in both directions, and tick 0 never dispatches.
+    """
+    out = []
+    for s in np.asarray(submit, dtype=np.float64).tolist():
+        n = int(math.ceil((s - epoch) / interval))
+        if n < 1:
+            n = 1
+        while n > 1 and epoch + (n - 1) * interval >= s:
+            n -= 1
+        while epoch + n * interval < s:
+            n += 1
+        out.append(epoch + n * interval)
+    return np.array(out, dtype=np.float64)
+
+
+def peak_concurrency_oracle(starts, finishes, sizes) -> int:
+    """Scalar sweep line for :func:`peak_concurrency`: at equal instants
+    every start is counted before any finish."""
+    events = sorted(
+        [(t, 0, size) for t, size in zip(starts.tolist(), sizes.tolist())]
+        + [(t, 1, -size) for t, size in zip(finishes.tolist(), sizes.tolist())]
+    )
+    level = peak = 0
+    for _time, _kind, delta in events:
+        level += delta
+        peak = max(peak, level)
+    return peak
 
 
 def uncontended_bundle(
@@ -93,12 +126,11 @@ def world_fingerprint(run: FixedLiveRun) -> dict:
 
 class TestUncontendedBackends:
     @pytest.mark.parametrize("system", ["DCS", "SSP"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fluid_world_equals_exact_world(self, system, backend):
+    def test_fluid_world_equals_exact_world(self, system):
         bundle = uncontended_bundle()
         exact = FixedLiveRun(bundle, system, kernel="off")
         exact.complete()
-        hybrid = FixedLiveRun(bundle, system, kernel=backend)
+        hybrid = FixedLiveRun(bundle, system, kernel="numpy")
         hybrid.complete()
         assert hybrid.fluid_applied
         assert world_fingerprint(hybrid) == world_fingerprint(exact)
@@ -216,7 +248,7 @@ class TestFallbackIdentity:
 
 
 class TestKernelOps:
-    def test_grid_starts_backends_agree_bitwise(self):
+    def test_grid_starts_matches_scalar_oracle_bitwise(self):
         rng = np.random.default_rng(0)
         submit = np.concatenate([
             rng.uniform(0.0, 1e6, 5000),
@@ -226,17 +258,20 @@ class TestKernelOps:
             [0.0],
         ])
         for interval, epoch in ((60.0, 0.0), (3.3, 17.7), (0.1, 1e6)):
-            reference = grid_starts(submit, interval, epoch, "python")
-            for backend in ("numpy", "numba"):
-                got = grid_starts(submit, interval, epoch, backend)
-                assert np.array_equal(got, reference), (interval, backend)
+            # product-form ticks and the floats just past them: the inputs
+            # on which ceil lands one off and the float-edge guards correct
+            ticks = epoch + np.arange(1, 2000) * interval
+            inputs = np.concatenate([submit, ticks, np.nextafter(ticks, np.inf)])
+            reference = grid_starts_oracle(inputs, interval, epoch)
+            got = grid_starts(inputs, interval, epoch)
+            assert got.tobytes() == reference.tobytes(), interval
             # the product-form contract: each start is a tick >= submit,
             # and the previous tick (if any) is < submit
             n = np.rint((reference - epoch) / interval).astype(np.int64)
-            assert (reference >= submit).all()
+            assert (reference >= inputs).all()
             assert (n >= 1).all()
             prev = epoch + (n - 1) * interval
-            assert ((n == 1) | (prev < submit)).all()
+            assert ((n == 1) | (prev < inputs)).all()
 
     def test_grid_starts_matches_live_timer(self):
         """The closed form against the actual PeriodicTimer, instant by
@@ -247,7 +282,7 @@ class TestKernelOps:
         rng = np.random.default_rng(1)
         submits = np.sort(rng.uniform(0.0, 4000.0, 64))
         interval = 60.0
-        starts = grid_starts(submits, interval, 0.0, "python")
+        starts = grid_starts(submits, interval, 0.0)
         ticks: list[float] = []
         engine = SimulationEngine()
         timer = PeriodicTimer(engine, interval, lambda: ticks.append(engine.now))
@@ -258,16 +293,22 @@ class TestKernelOps:
             live = next(t for t in tickset if t >= s)
             assert live == expected
 
-    def test_peak_concurrency_backends_agree(self):
+    def test_peak_concurrency_matches_sweep_line_oracle(self):
         rng = np.random.default_rng(2)
-        for trial in range(20):
+        for trial in range(40):
             n = int(rng.integers(1, 200))
-            starts = rng.uniform(0.0, 1000.0, n)
-            finishes = starts + rng.uniform(0.0, 500.0, n)
+            if trial % 2:
+                starts = rng.uniform(0.0, 1000.0, n)
+                finishes = starts + rng.uniform(0.0, 500.0, n)
+            else:
+                # a coarse integer grid: equal instants, touching and
+                # zero-length jobs exercise the starts-first tie rule
+                starts = rng.integers(0, 20, n).astype(np.float64)
+                finishes = starts + rng.integers(0, 5, n)
             sizes = rng.integers(1, 32, n).astype(np.int64)
-            reference = peak_concurrency(starts, finishes, sizes, "python")
-            assert peak_concurrency(starts, finishes, sizes, "numpy") == reference
-            assert peak_concurrency(starts, finishes, sizes, "numba") == reference
+            assert peak_concurrency(starts, finishes, sizes) == (
+                peak_concurrency_oracle(starts, finishes, sizes)
+            ), trial
 
     def test_peak_concurrency_counts_touching_jobs_conservatively(self):
         # job B starts exactly when job A finishes: both counted (adds
@@ -275,22 +316,14 @@ class TestKernelOps:
         starts = np.array([0.0, 10.0])
         finishes = np.array([10.0, 20.0])
         sizes = np.array([4, 4], dtype=np.int64)
-        assert peak_concurrency(starts, finishes, sizes, "python") == 8
-        assert peak_concurrency(starts, finishes, sizes, "numpy") == 8
-        assert peak_concurrency(np.array([]), np.array([]), np.array([]),
-                                "numpy") == 0
+        assert peak_concurrency(starts, finishes, sizes) == 8
+        assert peak_concurrency(np.array([]), np.array([]), np.array([])) == 0
 
 
 class TestConfiguration:
-    def test_numba_degrades_to_numpy_when_absent(self):
-        if numba_available():  # pragma: no cover - wheel present
-            assert resolve_backend("numba") == "numba"
-        else:
-            assert resolve_backend("numba") == "numpy"
-
     def test_unknown_backend_is_loud(self):
         with pytest.raises(KernelConfigError):
-            resolve_backend("fortran")
+            resolve_kernel_spec("fortran")
         with pytest.raises(KernelConfigError):
             resolve_kernel_spec({"kernel": "numpy", "materialise": True})
         with pytest.raises(KernelConfigError):
@@ -301,32 +334,39 @@ class TestConfiguration:
         assert resolve_kernel_spec("exact") is None
         assert resolve_kernel_spec({"kernel": "off"}) is None
 
-    def test_configured_scopes_the_ambient_kernel(self, monkeypatch):
-        monkeypatch.delenv(kernelmod.KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel_spec(None) is None  # suite default: off
-        with configured("numpy"):
-            spec = resolve_kernel_spec(None)
-            assert spec == KernelSpec("numpy")
-            with configured("off"):
-                assert resolve_kernel_spec(None) is None
-        assert resolve_kernel_spec(None) is None
-
-    def test_env_var_respected_and_beaten_by_configure(self, monkeypatch):
-        monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, "python")
-        assert kernelmod.active_kernel() == "python"
-        with configured("off"):
-            assert kernelmod.active_kernel() is None
-        monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(KernelConfigError):
-            kernelmod.active_kernel()
-
-    def test_explicit_off_beats_ambient_kernel(self):
+    def test_explicit_off_beats_ambient_kernel(self, monkeypatch):
         bundle = uncontended_bundle(n=50)
-        with configured("numpy"):
-            run = FixedLiveRun(bundle, "DCS", kernel="off")
-            assert run._kernel is None
-            ambient = FixedLiveRun(bundle, "DCS")
-            assert ambient._kernel == KernelSpec("numpy")
+        monkeypatch.delenv(kernelmod.KERNEL_ENV_VAR, raising=False)
+        assert FixedLiveRun(bundle, "DCS")._kernel is None  # default: off
+        monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, "numpy")
+        run = FixedLiveRun(bundle, "DCS", kernel="off")
+        assert run._kernel is None
+        ambient = FixedLiveRun(bundle, "DCS")
+        assert ambient._kernel == KernelSpec()
+
+    @pytest.mark.parametrize("surface", ["string", "mapping", "env", "spec"])
+    @pytest.mark.parametrize("name", ["python", "numba", "fortran"])
+    def test_rejected_kernel_names_point_at_numpy(self, monkeypatch, name,
+                                                   surface):
+        import repro.api.components  # noqa: F401 - registrations
+        from repro.api.run import validate_spec
+        from repro.api.spec import ExperimentSpec
+
+        with pytest.raises(KernelConfigError, match="'numpy'"):
+            if surface == "string":
+                resolve_kernel_spec(name)
+            elif surface == "mapping":
+                resolve_kernel_spec({"kernel": name, "materialize": False})
+            elif surface == "env":
+                monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, name)
+                resolve_kernel_spec(None)
+            else:
+                validate_spec(ExperimentSpec(
+                    name="t",
+                    workloads=({"generator": "nasa-ipsc"},),
+                    systems=({"runner": "dcs", "engine": {
+                        "name": "hybrid", "params": {"kernel": name}}},),
+                ))
 
 
 class TestSpecLayer:
@@ -338,10 +378,10 @@ class TestSpecLayer:
         assert "engine" not in plain.to_dict()  # old digests unchanged
         hybrid = SystemSpec.from_value(
             {"runner": "dcs", "engine": {"name": "hybrid",
-                                         "params": {"kernel": "python"}}}
+                                         "params": {"kernel": "numpy"}}}
         )
         assert resolve_engine_kernel(hybrid.engine) == {
-            "kernel": "python", "materialize": True,
+            "kernel": "numpy", "materialize": True,
         }
         assert resolve_engine_kernel(None) is None
         exact = SystemSpec.from_value({"runner": "dcs", "engine": "exact"})
@@ -365,6 +405,10 @@ class TestSpecLayer:
             )
         with pytest.raises(ValueError, match="kernel must be"):
             resolve_engine_kernel(ComponentRef("hybrid", {"kernel": "x"}))
+        # `engine: exact` is the one way to ask a spec for the exact engine
+        for off in ("off", "", "exact"):
+            with pytest.raises(ValueError, match="kernel must be"):
+                resolve_engine_kernel(ComponentRef("hybrid", {"kernel": off}))
 
     def test_run_system_with_engine_ref_matches_exact(self):
         import repro.api.components  # noqa: F401 - registrations
@@ -431,16 +475,16 @@ class TestGoldenScenariosUnderAmbientKernel:
     ATTEMPTING = ("table2-nasa", "table3-blue", "drp-vs-fixed-under-failures")
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_payload_identical_with_kernel_on(self, scenario):
+    def test_payload_identical_with_kernel_on(self, scenario, monkeypatch):
         from repro.experiments.cache import canonical_json
         from repro.experiments.registry import default_registry
 
         spec = default_registry().get(scenario)
-        with configured("off"):  # pin exact even under ambient REPRO_KERNEL
-            exact = spec.run(0)
+        monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, "off")
+        exact = spec.run(0)
         fluidmod.STATS["applied"] = fluidmod.STATS["fallbacks"] = 0
-        with configured("numpy"):
-            hybrid = spec.run(0)
+        monkeypatch.setenv(kernelmod.KERNEL_ENV_VAR, "numpy")
+        hybrid = spec.run(0)
         assert canonical_json(hybrid) == canonical_json(exact)
         if scenario in self.ATTEMPTING:
             attempts = fluidmod.STATS["applied"] + fluidmod.STATS["fallbacks"]

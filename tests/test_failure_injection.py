@@ -11,9 +11,9 @@ import pytest
 
 from repro.cluster.provision import ProvisionError, ResourceProvisionService
 from repro.core.dawningcloud import DawningCloud
-from repro.core.negotiation import DynamicResourceManager
 from repro.core.policies import ResourceManagementPolicy
 from repro.core.servers import REServer
+from repro.provisioning.policies import ConsolidatedAllocation
 from repro.scheduling.firstfit import FirstFitScheduler
 from repro.simkit.engine import SimulationEngine
 from repro.workloads.job import Job, Trace
@@ -115,7 +115,7 @@ class TestDegenerateConfigurations:
         engine = SimulationEngine()
         svc = ResourceProvisionService(capacity=32)
         server = REServer(engine, "x", FirstFitScheduler(), 60.0)
-        mgr = DynamicResourceManager(
+        mgr = ConsolidatedAllocation(
             engine, server, svc, ResourceManagementPolicy.for_htc(8, 1.5)
         )
         mgr.start()

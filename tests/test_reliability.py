@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.lease import HOUR, LeaseLedger
-from repro.cluster.node import NodePool, NodeState
 from repro.cluster.provision import ResourceProvisionService
 from repro.core.servers import REServer
 from repro.provisioning.billing import PerSecondMeter
@@ -168,34 +167,6 @@ class TestClusterStateFailures:
             state.fail_owned("nobody", 1, t=0.0)
         with pytest.raises(ClusterStateError):
             state.repair(1, t=0.0)
-
-
-class TestNodePoolFailures:
-    def test_node_state_machine_fail_repair(self):
-        pool = NodePool(4)
-        pool.assign("a", 2)
-        node = pool.fail(owner="a")
-        assert node.state is NodeState.FAILED
-        assert node.owner is None
-        assert pool.owned_count("a") == 1
-        assert pool.failed_count == 1
-        pool.repair(node)
-        assert node.state is NodeState.FREE
-        assert pool.free_count == 3
-
-    def test_free_node_failure(self):
-        pool = NodePool(2)
-        node = pool.fail()
-        assert pool.free_count == 1
-        assert pool.failed_count == 1
-        pool.repair(node)
-        assert pool.free_count == 2
-
-    def test_illegal_transitions_guarded(self):
-        pool = NodePool(1)
-        node = pool.fail()
-        with pytest.raises(RuntimeError, match="illegal transition"):
-            node.fail()
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import default_components
-from repro.scheduling import SCHEDULER_REGISTRY, make_scheduler
+from repro.scheduling import SCHEDULER_REGISTRY
 
 
 def build_scheduler(name):
@@ -42,14 +42,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
             build_scheduler("round-robin")
-
-    def test_make_scheduler_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="scheduler"):
-            sched = make_scheduler("first-fit")
-        assert isinstance(sched, FirstFitScheduler)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown scheduler"):
-                make_scheduler("round-robin")
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,7 @@
-"""Tests for random streams and generator-based processes."""
+"""Tests for random streams."""
 
 import numpy as np
-import pytest
 
-from repro.simkit.process import SimProcess
 from repro.simkit.rng import RandomStreams
 
 
@@ -42,59 +40,3 @@ class TestRandomStreams:
         a_after = s2.stream("a").random(4)
         assert np.array_equal(a_only, a_after)
 
-
-class TestSimProcess:
-    def test_yields_advance_time(self, engine):
-        log = []
-
-        def proc():
-            log.append(engine.now)
-            yield 5.0
-            log.append(engine.now)
-            yield 10.0
-            log.append(engine.now)
-
-        SimProcess(engine, proc())
-        engine.run()
-        assert log == [0.0, 5.0, 15.0]
-
-    def test_start_delay(self, engine):
-        log = []
-
-        def proc():
-            log.append(engine.now)
-            yield 1.0
-
-        SimProcess(engine, proc(), start_delay=3.0)
-        engine.run()
-        assert log == [3.0]
-
-    def test_finished_flag(self, engine):
-        def proc():
-            yield 1.0
-
-        p = SimProcess(engine, proc())
-        assert not p.finished
-        engine.run()
-        assert p.finished
-
-    def test_interrupt_stops_process(self, engine):
-        log = []
-
-        def proc():
-            yield 5.0
-            log.append("never")
-
-        p = SimProcess(engine, proc())
-        engine.schedule(1.0, p.interrupt)
-        engine.run()
-        assert log == []
-        assert p.finished
-
-    def test_negative_yield_raises(self, engine):
-        def proc():
-            yield -1.0
-
-        SimProcess(engine, proc())
-        with pytest.raises(ValueError):
-            engine.run()

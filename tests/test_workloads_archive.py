@@ -7,7 +7,6 @@ from repro.workloads.archive import (
     ARCHIVE_MAX_UTILIZATION,
     ARCHIVE_MIN_UTILIZATION,
     archive_names,
-    generate_archive_trace,
     spec_with_utilization,
     utilization_family,
 )
@@ -40,18 +39,6 @@ class TestCatalog:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown trace"):
             paper_trace("bigred")
-
-    def test_legacy_generator_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="paper_trace"):
-            trace = generate_archive_trace("nasa-ipsc", seed=3)
-        assert [j.runtime for j in trace] == [
-            j.runtime for j in paper_trace("nasa-ipsc", seed=3)
-        ]
-
-    def test_legacy_generator_unknown_name_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown archive trace"):
-                generate_archive_trace("bigred")
 
 
 @pytest.mark.parametrize("name", sorted(ARCHIVE))

@@ -1,16 +1,9 @@
-"""Tests for generic workflow generators and trace rescaling."""
+"""Tests for generic workflow generators."""
 
 import networkx as nx
 import pytest
 
-from repro.workloads.scaling import (
-    normalize_to_single_cpu,
-    scale_load,
-    scale_sizes,
-    transform_runtimes,
-)
 from repro.workloads.workflowgen import bag_of_tasks, chain, fork_join, layered_random
-from tests.conftest import make_job, make_trace
 
 
 class TestBagOfTasks:
@@ -62,46 +55,3 @@ class TestLayeredRandom:
         with pytest.raises(ValueError):
             layered_random([3, 0])
 
-
-class TestScaling:
-    def test_scale_sizes_doubles(self, small_trace):
-        scaled = scale_sizes(small_trace, 2.0)
-        assert scaled.machine_nodes == 32
-        for orig, new in zip(small_trace, scaled):
-            assert new.size == orig.size * 2
-
-    def test_normalize_to_single_cpu_is_integer_scale(self, small_trace):
-        norm = normalize_to_single_cpu(small_trace, cpus_per_node=8)
-        assert norm.machine_nodes == 128
-        assert norm.total_work == pytest.approx(small_trace.total_work * 8)
-
-    def test_scale_sizes_never_below_one_node(self):
-        trace = make_trace([make_job(1, size=1)], nodes=16)
-        scaled = scale_sizes(trace, 0.1)
-        assert scaled[0].size == 1
-
-    def test_scale_load_compresses_arrivals(self, small_trace):
-        fast = scale_load(small_trace, 2.0)
-        for orig, new in zip(small_trace, fast):
-            assert new.submit_time == pytest.approx(orig.submit_time / 2)
-
-    def test_scale_load_drops_jobs_past_window(self):
-        trace = make_trace([make_job(1, submit=3600.0)], duration=4000.0)
-        slowed = scale_load(trace, 0.5)  # arrival stretches to 7200 > 4000
-        assert len(slowed) == 0
-
-    def test_transform_runtimes(self, small_trace):
-        doubled = transform_runtimes(small_trace, lambda r: r * 2)
-        assert doubled.total_work == pytest.approx(small_trace.total_work * 2)
-
-    def test_transform_rejects_negative(self, small_trace):
-        with pytest.raises(ValueError):
-            transform_runtimes(small_trace, lambda r: -r)
-
-    def test_invalid_factors(self, small_trace):
-        with pytest.raises(ValueError):
-            scale_sizes(small_trace, 0)
-        with pytest.raises(ValueError):
-            scale_load(small_trace, -1)
-        with pytest.raises(ValueError):
-            normalize_to_single_cpu(small_trace, 0)
