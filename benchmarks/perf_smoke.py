@@ -11,10 +11,10 @@ job when any tracked scenario's wall time regresses by more than
 * the **cold (B, R) sweeps** (Figures 9 and 10) — 16 full two-week
   DawningCloud simulations each, the workload the provisioning kernel's
   incremental accounting and the idle-gap fast-forward are built for;
-* the **prefix-shared (branched) sweep** — one B-group warm-up forked
-  per threshold ratio (``share_prefix=True``), asserted byte-identical
-  to the cold sweep and timed, so the branching machinery has its own
-  point on the trajectory.
+* the **prefix-shared (branched) sweep** — one warm-up per B forked
+  per threshold ratio (``fork_experiment_branches``), asserted
+  byte-identical to cold runs of every point and timed, so the
+  branching machinery has its own point on the trajectory.
 
 Absolute wall times are machine-dependent; the gate therefore compares a
 fresh run on the *same* machine/CI-runner class against the committed
@@ -166,12 +166,16 @@ def prefix_shared_sweep(n_jobs: int = 40) -> dict:
 
     The synthetic trace's first submission lands 40% into the horizon, so
     the R-independent warm-up prefix is long enough that ``"auto"`` would
-    share it too (see ``SHARED_PREFIX_MIN_FRACTION``); both paths are
-    forced explicitly here so each is exercised regardless of the guard.
-    A divergence between the two raises AssertionError — this is the
-    CI-side twin of ``tests/test_snapshot_branching.py``.
+    share it too (see ``repro.api.run.SHARED_PREFIX_MIN_FRACTION``); both
+    paths are timed explicitly here so each is exercised regardless of
+    the guard: the cold side runs every expanded point, the branched side
+    warms up once per B and forks per R.  A divergence between the two
+    raises AssertionError — this is the CI-side twin of
+    ``tests/test_snapshot_branching.py``.
     """
-    from repro.experiments.sweep import sweep_htc_parameters
+    from repro.api.run import fork_experiment_branches, run_system
+    from repro.api.spec import ExperimentSpec
+    from repro.experiments.ablations import workload_ref_for_bundle
     from repro.systems.base import WorkloadBundle
     from repro.workloads.job import Job, Trace
 
@@ -184,15 +188,23 @@ def prefix_shared_sweep(n_jobs: int = 40) -> dict:
     bundle = WorkloadBundle.from_trace(
         "branch", Trace("branch", jobs, machine_nodes=32, duration=24 * 3600.0)
     )
-    grid = dict(
-        initial_nodes=(4, 8), threshold_ratios=(1.0, 1.5, 2.0), capacity=64
-    )
+    spec = ExperimentSpec.from_dict({
+        "name": "prefix-shared-sweep",
+        "workloads": [workload_ref_for_bundle(bundle)],
+        "systems": [{"runner": "dawningcloud",
+                     "policy": {"name": "paper-htc"},
+                     "params": {"capacity": 64}}],
+        "sweep": {"policy.params.initial_nodes": [4, 8],
+                  "policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
+    })
     t0 = time.perf_counter()
-    cold = sweep_htc_parameters(bundle, share_prefix=False, **grid)
+    cold = [run_system(system, bundle) for system, _ in spec.expand_systems()]
     t1 = time.perf_counter()
-    warm = sweep_htc_parameters(bundle, share_prefix=True, **grid)
+    warm = [b.run() for b in fork_experiment_branches(spec, bundle=bundle)]
     t2 = time.perf_counter()
-    assert warm == cold, "branched sweep diverged from the cold sweep"
+    assert [m.to_payload() for m in warm] == [m.to_payload() for m in cold], (
+        "branched sweep diverged from the cold sweep"
+    )
     return {
         "scenario": "prefix-shared-sweep",
         "points": len(warm),

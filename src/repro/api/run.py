@@ -2,14 +2,16 @@
 
 This module is the executable half of the spec API:
 
-* :func:`materialize_workload` / :func:`run_system` turn
+* :func:`materialize_workload` / :func:`build_live_system` turn
   :class:`~repro.api.spec.WorkloadSpec` / :class:`~repro.api.spec
   .SystemSpec` into a live :class:`~repro.systems.base.WorkloadBundle`
-  (through the process-wide trace store) and a finished
-  :class:`~repro.metrics.results.ProviderMetrics`;
+  (through the process-wide trace store) and a built-but-unrun
+  :class:`~repro.systems.base.LiveRun`; :func:`run_system` runs that to
+  a finished :class:`~repro.metrics.results.ProviderMetrics`;
 * :func:`run_experiment` runs the full workloads × systems × seeds ×
   sweep cross of an :class:`~repro.api.spec.ExperimentSpec` and returns
-  structured :class:`RunResult` records;
+  structured :class:`RunResult` records, sharing warm-up prefixes across
+  sweep points where that is provably exact;
 * :class:`Simulation` wraps that in the orchestrator so spec runs share
   the content-addressed result cache — rerunning an unchanged spec is a
   JSON load;
@@ -23,7 +25,7 @@ This module is the executable half of the spec API:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Union
 
 from repro.api.registry import default_components
@@ -36,10 +38,11 @@ from repro.api.spec import (
     spec_digest,
 )
 from repro.core.policies import ResourceManagementPolicy
+from repro.experiments.cache import canonical_json
 from repro.metrics.results import ProviderMetrics
 from repro.provisioning.billing import BillingMeter
 from repro.systems import SYSTEM_ORDER
-from repro.systems.base import WorkloadBundle
+from repro.systems.base import LiveRun, WorkloadBundle
 from repro.systems.drp import run_drp
 from repro.systems.dsp_runner import (
     DEFAULT_CAPACITY,
@@ -176,12 +179,18 @@ def resolve_engine_kernel(
     }
 
 
-def run_system(
+def build_live_system(
     system: Union[str, Mapping, SystemSpec],
     bundle: WorkloadBundle,
     seed: int = 0,
-) -> ProviderMetrics:
-    """Run one system spec over an already-materialized bundle."""
+) -> LiveRun:
+    """A built-but-unrun :class:`~repro.systems.base.LiveRun` for one spec.
+
+    The one place a system spec's refs become objects: the policy,
+    scheduler, billing, failure and engine refs resolve here and the
+    registered runner builds its world, stopped before any event
+    executes so the caller can ingest, advance, fork and retarget.
+    """
     system = SystemSpec.from_value(system)
     registry = default_components()
     component = registry.get("system", system.runner)
@@ -204,6 +213,15 @@ def run_system(
         kwargs["kernel"] = resolve_engine_kernel(system.engine)
     component.validate_params(kwargs)
     return component.factory(bundle, seed=seed, **kwargs)
+
+
+def run_system(
+    system: Union[str, Mapping, SystemSpec],
+    bundle: WorkloadBundle,
+    seed: int = 0,
+) -> ProviderMetrics:
+    """Run one system spec over an already-materialized bundle."""
+    return build_live_system(system, bundle, seed=seed).run()
 
 
 # --------------------------------------------------------------------- #
@@ -247,10 +265,10 @@ class RunResult:
 # --------------------------------------------------------------------- #
 #: Sweep paths a live branch can apply *after* the shared warm-up prefix:
 #: the threshold ratio is provably unread before the first submission, and
-#: release-check timers only exist once a dynamic grant happened.  Paths
-#: outside this set (the generator, ``initial_nodes``, scan cadences,
-#: capacity) shape the world at build time and disqualify a grid from
-#: prefix sharing.
+#: release-check timers only exist once a dynamic grant happened.  Any
+#: other swept path (``initial_nodes``, scan cadences, capacity, the
+#: scheduler) shapes the world at build time, so it splits the grid into
+#: groups that each warm up once.
 RETARGETABLE_SWEEP_PATHS = frozenset(
     {
         "policy.params.threshold_ratio",
@@ -258,19 +276,51 @@ RETARGETABLE_SWEEP_PATHS = frozenset(
     }
 )
 
+#: ``share_prefix="auto"`` branches only when the R-independent warm-up
+#: (everything before the first workload submission) covers at least this
+#: fraction of the horizon.  Forking deep-copies a fully loaded world —
+#: measurably more expensive than a cold build plus replay of a short
+#: prefix — so sharing pays only when the shared prefix is long.
+SHARED_PREFIX_MIN_FRACTION = 0.25
+
+
+def branch_instant(bundle: WorkloadBundle) -> float:
+    """The latest instant provably independent of the threshold ratio R.
+
+    The B/R decision rule returns before consulting R whenever queue
+    demand is zero (see
+    :meth:`~repro.core.policies.ResourceManagementPolicy
+    .dynamic_request_size`), and no dynamic grant — hence no release
+    timer — can exist before something was submitted.  Everything
+    strictly before the first submission is therefore byte-identical
+    across all R values sharing one B, which makes it the sweep's safe
+    fork point.
+    """
+    if bundle.kind == "htc":
+        return min(job.submit_time for job in bundle.trace)  # type: ignore[union-attr]
+    return float(bundle.workflow.submit_time)  # type: ignore[union-attr]
+
+
+def _resolve_share(share_prefix: Union[bool, str], bundle: WorkloadBundle) -> bool:
+    if share_prefix == "auto":
+        horizon = float(bundle.horizon)  # type: ignore[arg-type]
+        return (
+            horizon > 0
+            and branch_instant(bundle) / horizon >= SHARED_PREFIX_MIN_FRACTION
+        )
+    return bool(share_prefix)
+
 
 def sweep_prefix_shareable(spec: ExperimentSpec) -> bool:
     """Whether a spec's sweep grid qualifies for prefix-shared branching.
 
-    True when there *is* a sweep, every dotted path is retargetable on a
-    live branch (:data:`RETARGETABLE_SWEEP_PATHS` — in particular, none
-    touches the workload generator), and every system is a DawningCloud
-    runner (the one runner whose policy negotiates mid-run).
+    True when at least one swept path is retargetable on a live branch
+    (:data:`RETARGETABLE_SWEEP_PATHS`) and every system is a DawningCloud
+    runner (the one runner whose policy negotiates mid-run).  The other
+    swept paths group the grid: each group shares one warm-up.
     """
-    return (
-        bool(spec.sweep)
-        and set(spec.sweep) <= RETARGETABLE_SWEEP_PATHS
-        and all(system.runner == "dawningcloud" for system in spec.systems)
+    return bool(set(spec.sweep) & RETARGETABLE_SWEEP_PATHS) and all(
+        system.runner == "dawningcloud" for system in spec.systems
     )
 
 
@@ -280,108 +330,10 @@ class SweepBranch:
 
     system: SystemSpec
     point: Mapping[str, Any]
-    live: Any
+    live: LiveRun
 
     def run(self) -> ProviderMetrics:
         return self.live.run()
-
-
-def _build_live_dawningcloud(
-    system: SystemSpec, bundle: WorkloadBundle, seed: int
-):
-    """A built-but-unrun DawningCloud world for one system spec.
-
-    Mirrors the registered ``dawningcloud`` component factory (same
-    parameter resolution, same defaults) but stops before ``run()`` so
-    the caller can advance, fork and retarget.
-    """
-    from repro.systems.dsp_runner import (
-        DawningCloudHtcLiveRun,
-        DawningCloudMtcLiveRun,
-    )
-
-    if system.runner != "dawningcloud":
-        raise ValueError(
-            f"prefix-shared branching needs DawningCloud systems, got "
-            f"runner {system.runner!r}"
-        )
-    registry = default_components()
-    policy = (
-        registry.create(
-            "policy", system.policy.name, **system.policy.params
-        )
-        if system.policy is not None
-        else ResourceManagementPolicy.for_htc()
-        if bundle.kind == "htc"
-        else ResourceManagementPolicy.for_mtc()
-    )
-    kwargs: dict[str, Any] = dict(system.params)
-    if system.billing is not None:
-        kwargs["meter"] = resolve_meter(system.billing, bundle)
-    if system.failures is not None:
-        kwargs["failures"] = registry.create(
-            "failure-model", system.failures.name, **system.failures.params
-        )
-    cls = (
-        DawningCloudHtcLiveRun if bundle.kind == "htc"
-        else DawningCloudMtcLiveRun
-    )
-    return cls(bundle, policy, seed=seed, **kwargs)
-
-
-def build_live_system(
-    system: Union[str, Mapping, SystemSpec],
-    bundle: WorkloadBundle,
-    seed: int = 0,
-):
-    """A built-but-unrun :class:`~repro.systems.base.LiveRun` for one spec.
-
-    The live-run counterpart of :func:`run_system`: the same component
-    resolution (policy, billing, failures, engine kernel), stopped
-    before any event executes so the caller can ingest, advance, fork
-    and retarget.  Supports ``dcs``, ``ssp`` and ``dawningcloud``, which
-    is also exactly the set the serving layer can host.  DRP and the
-    pooled queue have live-run classes (``DrpHtcLiveRun``,
-    ``DrpMtcLiveRun``, ``DrpPooledLiveRun``, ``PooledQueueLiveRun``) but
-    no spec-level construction here, so their runners raise a loud
-    :class:`ValueError`.
-    """
-    from repro.systems.fixed import FixedLiveRun
-
-    system = SystemSpec.from_value(system)
-    if system.runner == "dawningcloud":
-        return _build_live_dawningcloud(system, bundle, seed)
-    if system.runner not in ("dcs", "ssp"):
-        raise ValueError(
-            f"runner {system.runner!r} has no live-run form; live systems: "
-            f"['dawningcloud', 'dcs', 'ssp']"
-        )
-    if system.policy is not None or system.scheduler is not None:
-        raise ValueError(
-            f"runner {system.runner!r} takes no policy/scheduler refs"
-        )
-    unknown = set(system.params)
-    if unknown:
-        raise ValueError(
-            f"runner {system.runner!r} live form has unknown param(s) "
-            f"{sorted(unknown)}"
-        )
-    registry = default_components()
-    failures = (
-        registry.create(
-            "failure-model", system.failures.name, **system.failures.params
-        )
-        if system.failures is not None
-        else None
-    )
-    return FixedLiveRun(
-        bundle,
-        system.runner.upper(),
-        meter=resolve_meter(system.billing, bundle),
-        failures=failures,
-        seed=seed,
-        kernel=resolve_engine_kernel(system.engine),
-    )
 
 
 def fork_experiment_branches(
@@ -392,50 +344,61 @@ def fork_experiment_branches(
     at: Optional[float] = None,
     bundle: Optional[WorkloadBundle] = None,
 ) -> list[SweepBranch]:
-    """The sweep grid as live branches sharing one warm-up prefix.
+    """The sweep grid as live branches sharing warm-up prefixes.
 
-    For each base system the warm-up — everything before ``at``, which
-    defaults to the R-independent :func:`~repro.experiments.sweep
-    .branch_instant` — is simulated once; each sweep point is then a
-    fork of that world with the point's policy retargeted onto it.
-    Branches arrive unrun, in :meth:`ExperimentSpec.expand_systems`
-    order, and are fully disjoint: running one cannot perturb another.
+    Points are grouped by base system and by their swept values outside
+    :data:`RETARGETABLE_SWEEP_PATHS` (e.g. one group per B of a B×R
+    grid).  Each group's warm-up — everything before ``at``, which
+    defaults to the R-independent :func:`branch_instant` — is simulated
+    once; each point is then a fork of that world with the point's
+    policy retargeted onto it.  Branches arrive unrun, in
+    :meth:`ExperimentSpec.expand_systems` order, and are fully disjoint:
+    running one cannot perturb another.
 
     With the default ``at`` every branch is byte-identical to a cold run
     of its point (the differential harness pins this); a later ``at`` is
     the what-if mode — the common history up to ``at`` ran under the
-    *base* policy, and the branches answer "what if R changed now?".
+    group's *base* policy (the base system's own, with the group's
+    non-retargetable values applied), and the branches answer "what if
+    R changed now?".
     """
-    from repro.experiments.sweep import branch_instant
-
     if not sweep_prefix_shareable(spec):
-        offending = sorted(set(spec.sweep) - RETARGETABLE_SWEEP_PATHS)
         raise ValueError(
-            "spec does not qualify for prefix-shared branching: "
-            + (
-                f"sweep path(s) {offending} cannot be retargeted on a "
-                f"live branch"
-                if offending
-                else "needs a sweep over DawningCloud systems"
-            )
+            "spec does not qualify for prefix-shared branching: needs a "
+            f"sweep over {sorted(RETARGETABLE_SWEEP_PATHS)} on DawningCloud "
+            f"systems, got sweep paths {sorted(spec.sweep)}"
         )
     wspec = spec.workloads[workload]
     if bundle is None:
         bundle = materialize_workload(wspec, seed)
+    start = branch_instant(bundle) if at is None else at
     expanded = spec.expand_systems()
-    branches: list[Optional[SweepBranch]] = [None] * len(expanded)
     per_system = len(expanded) // len(spec.systems)
+    # (base system, build-shaping values) -> (those values, point indices)
+    groups: dict[tuple[int, str], tuple[dict, list[int]]] = {}
+    for index, (_system, point) in enumerate(expanded):
+        shaping = {
+            path: value for path, value in point.items()
+            if path not in RETARGETABLE_SWEEP_PATHS
+        }
+        key = (index // per_system, canonical_json(shaping))
+        groups.setdefault(key, (shaping, []))[1].append(index)
+    branches: list[Optional[SweepBranch]] = [None] * len(expanded)
     registry = default_components()
-    for s_index, base_system in enumerate(spec.systems):
-        base = _build_live_dawningcloud(base_system, bundle, seed)
-        base.advance_before(branch_instant(bundle) if at is None else at)
-        group = list(
-            enumerate(expanded)
-        )[s_index * per_system : (s_index + 1) * per_system]
+    for (s_index, _), (shaping, indices) in groups.items():
+        base_spec = replace(
+            spec, systems=(spec.systems[s_index],),
+            sweep={path: [value] for path, value in shaping.items()},
+        )
+        base = build_live_system(
+            base_spec.expand_systems()[0][0], bundle, seed
+        )
+        base.advance_before(start)
         # all forks are taken before any branch runs; the base world
         # itself serves the group's last point
-        for offset, (index, (system, point)) in enumerate(group):
-            live = base if offset == len(group) - 1 else base.fork()
+        for offset, index in enumerate(indices):
+            system, point = expanded[index]
+            live = base if offset == len(indices) - 1 else base.fork()
             live.retarget_policy(
                 registry.create(
                     "policy", system.policy.name, **system.policy.params
@@ -457,14 +420,12 @@ def run_experiment(
     The effective seed of each run is ``seed + offset``.
 
     ``share_prefix`` controls prefix-shared sweep branching: grids that
-    qualify (:func:`sweep_prefix_shareable`) run each workload's warm-up
-    once and fork per point instead of re-simulating it.  ``"auto"``
-    branches only when the prefix is long enough to pay for the fork
-    (:data:`~repro.experiments.sweep.SHARED_PREFIX_MIN_FRACTION`); either
-    path produces byte-identical results.
+    qualify (:func:`sweep_prefix_shareable`) run each warm-up once per
+    group and fork per point (:func:`fork_experiment_branches`) instead
+    of re-simulating it.  ``"auto"`` branches only when the prefix is
+    long enough to pay for the fork (:data:`SHARED_PREFIX_MIN_FRACTION`);
+    either path produces byte-identical results.
     """
-    from repro.experiments.sweep import _resolve_share
-
     results = []
     bundles: dict[tuple[int, int], WorkloadBundle] = {}
     shareable = share_prefix is not False and sweep_prefix_shareable(spec)
@@ -495,6 +456,7 @@ def run_experiment(
                             )
                         )
                     metrics = branches[p_index].run()
+                    branches[p_index] = None  # a finished world is dead weight
                 else:
                     metrics = run_system(system, bundle, seed=effective)
                 results.append(
@@ -737,15 +699,15 @@ class Simulation:
     ) -> list[SweepBranch]:
         """Branch the spec's sweep grid mid-run: one live world per point.
 
-        The shared warm-up prefix is simulated once and every sweep point
-        continues from a fork of it (:func:`fork_experiment_branches`).
-        With the default ``at`` each branch is byte-identical to a cold
-        run of its point; an explicit later ``at`` asks the what-if
-        question instead — the history up to ``at`` ran under the base
-        system's policy, and each branch answers "what if this point's
-        parameters applied from here on?".  Branches bypass the result
-        cache (they are live simulations, not payloads); call
-        ``branch.run()`` to finish one into metrics.
+        Each group's shared warm-up prefix is simulated once and every
+        sweep point continues from a fork of it
+        (:func:`fork_experiment_branches`).  With the default ``at`` each
+        branch is byte-identical to a cold run of its point; an explicit
+        later ``at`` asks the what-if question instead — the history up
+        to ``at`` ran under the base system's policy, and each branch
+        answers "what if this point's parameters applied from here on?".
+        Branches bypass the result cache (they are live simulations, not
+        payloads); call ``branch.run()`` to finish one into metrics.
         """
         return fork_experiment_branches(
             self.spec, workload=workload, seed=self.seed + seed_offset, at=at
@@ -801,32 +763,37 @@ def run_artifact(artifact: Mapping, seed: int = 0) -> Any:
             "systems": {s: results[s].to_payload() for s in SYSTEM_ORDER},
         }
     if kind == "sweep":
-        from repro.experiments.sweep import (
-            sweep_htc_parameters,
-            sweep_mtc_parameters,
-        )
+        from repro.experiments.sweep import SweepPoint
 
         bundle = materialize_workload(artifact["workload"], seed)
-        sweep = sweep_mtc_parameters if bundle.kind == "mtc" else sweep_htc_parameters
-        points = sweep(
-            bundle,
-            initial_nodes=tuple(artifact["B"]),
-            threshold_ratios=tuple(artifact["R"]),
-            capacity=artifact["capacity"],
+        spec = ExperimentSpec(
+            name="sweep",
+            workloads=(artifact["workload"],),
+            systems=({
+                "runner": "dawningcloud",
+                "policy": {"name": f"paper-{bundle.kind}"},
+                "params": {"capacity": artifact["capacity"]},
+            },),
+            sweep={
+                "policy.params.initial_nodes": artifact["B"],
+                "policy.params.threshold_ratio": artifact["R"],
+            },
         )
         return {
             "workload": WorkloadSpec.from_value(artifact["workload"]).display,
             "kind": bundle.kind,
             "points": [
-                {
-                    "B": p.initial_nodes,
-                    "R": p.threshold_ratio,
-                    "label": p.label,
-                    "resource_consumption": p.resource_consumption,
-                    "completed_jobs": p.completed_jobs,
-                    "tasks_per_second": p.tasks_per_second,
-                }
-                for p in points
+                SweepPoint(
+                    initial_nodes=r.point["policy.params.initial_nodes"],
+                    threshold_ratio=r.point["policy.params.threshold_ratio"],
+                    resource_consumption=r.metrics["resource_consumption"],
+                    completed_jobs=r.metrics["completed_jobs"],
+                    tasks_per_second=(
+                        r.metrics["tasks_per_second"]
+                        if bundle.kind == "mtc" else None
+                    ),
+                ).to_row()
+                for r in run_experiment(spec, seed)
             ],
         }
     if kind == "analysis":

@@ -49,14 +49,12 @@ directory (``--spec-dir``, ``$REPRO_SPEC_DIR``, default ``./specs`` when
 present) register as scenarios automatically and appear in
 ``list-scenarios`` / ``run`` alongside the built-ins.
 
-Every simulation command except ``export`` routes through the scenario
-registry and the content-addressed result cache (``--cache-dir``,
-``$REPRO_CACHE_DIR``, default ``./.repro-cache``), so reruns are
-incremental and ``--parallel N`` fans independent scenarios over N
-worker processes.  ``run`` prints one canonical-JSON document,
-byte-identical for any worker count.  ``export`` still recomputes the
-evaluation directly (its artifacts predate the registry) and ignores
-the cache/parallel flags.
+Every simulation command, ``export`` included, routes through the
+scenario registry and the content-addressed result cache
+(``--cache-dir``, ``$REPRO_CACHE_DIR``, default ``./.repro-cache``), so
+reruns are incremental and ``--parallel N`` fans independent scenarios
+over N worker processes.  ``run`` prints one canonical-JSON document,
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -758,11 +756,12 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
     if args.command == "export":
-        from repro.experiments.config import EvaluationSetup
         from repro.experiments.export import export_all
 
-        paths = export_all(args.outdir, EvaluationSetup(seed=args.seed),
-                           fmt=args.format)
+        try:
+            paths = export_all(args.outdir, orch, fmt=args.format)
+        except OrchestrationError as exc:
+            return _report_outcomes(exc.runs)
         for path in paths:
             print(path)
     elif args.command == "run":

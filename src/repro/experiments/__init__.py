@@ -2,7 +2,8 @@
 
 * :mod:`repro.experiments.config` — the paper's workloads, parameters and
   sweep grids in one place.
-* :mod:`repro.experiments.sweep` — B×R parameter sweeps (Figures 9-11).
+* :mod:`repro.experiments.sweep` — B×R sweep points and the paper's
+  selection rule (Figures 9-11; the grids run as experiment specs).
 * :mod:`repro.experiments.tables` — Table 1 and Tables 2-4 as row dicts.
 * :mod:`repro.experiments.figures` — Figures 12-14 series.
 * :mod:`repro.experiments.report` — plain-text rendering (the harness
@@ -45,8 +46,8 @@ from repro.experiments.paperdata import (
     check_headline_shapes,
     check_table_shapes,
 )
-from repro.experiments.sweep import SweepPoint, sweep_htc_parameters, sweep_mtc_parameters
-from repro.experiments.tables import table1, table_for_bundle
+from repro.experiments.sweep import SweepPoint
+from repro.experiments.tables import table1
 
 # The ablation sweeps sit above the spec layer, and repro.api.spec imports
 # this package (for the canonical-JSON helpers in .cache) — so re-export
@@ -99,8 +100,5 @@ __all__ = [
     "figure12_13_14",
     "montage_bundle",
     "nasa_bundle",
-    "sweep_htc_parameters",
-    "sweep_mtc_parameters",
     "table1",
-    "table_for_bundle",
 ]

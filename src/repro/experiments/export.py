@@ -14,19 +14,15 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.costmodel.compare import paper_case_study
-from repro.experiments.config import (
-    EvaluationSetup,
-    PAPER_POLICIES,
-    blue_bundle,
-    montage_bundle,
-    nasa_bundle,
-)
-from repro.experiments.figures import figure12_13_14
-from repro.experiments.sweep import sweep_htc_parameters, sweep_mtc_parameters
-from repro.experiments.tables import table1, table_for_bundle
+from repro.experiments.figures import overhead_s_per_hour
+from repro.experiments.sweep import points_from_payload
+from repro.experiments.tables import table1, table_rows_from_payload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.orchestrator import Orchestrator
 
 
 def rows_to_csv(rows: Sequence[dict], target: Optional[io.TextIOBase] = None) -> str:
@@ -59,50 +55,51 @@ def write_rows(rows: Sequence[dict], path: Path) -> Path:
 
 
 def export_all(
-    outdir: Path, setup: Optional[EvaluationSetup] = None, fmt: str = "csv"
+    outdir: Path, orch: Optional["Orchestrator"] = None, fmt: str = "csv"
 ) -> list[Path]:
-    """Regenerate every paper artifact into ``outdir``, one file each.
+    """Write every paper artifact into ``outdir``, one file each.
 
-    ``fmt`` is ``"csv"`` or ``"json"``.  Returns the written paths.  The
-    consolidated Figures 12-14 run once and feed three files plus the
-    §4.5.4 overhead record.
+    ``fmt`` is ``"csv"`` or ``"json"``.  Returns the written paths.
+    Tables 2-4, the three (B, R) sweeps and Figures 12-14 are the
+    registry scenarios' payloads, read through ``orch`` (its seed, cache
+    and workers; a fresh uncached :class:`~repro.experiments.orchestrator
+    .Orchestrator` when ``None``), so a warm cache makes the export a
+    JSON load.  Table 1 and the TCO case are closed forms.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-    setup = setup or EvaluationSetup()
+    if orch is None:
+        from repro.experiments.orchestrator import Orchestrator
+
+        orch = Orchestrator()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = setup.seed
     written: list[Path] = []
 
     def emit(name: str, rows: Sequence[dict]) -> None:
         written.append(write_rows(rows, outdir / f"{name}.{fmt}"))
 
+    runs = orch.run(names=[
+        "table2-nasa", "table3-blue", "table4-montage",
+        "fig09-sweep-blue", "fig10-sweep-nasa", "fig11-sweep-montage",
+        "fig12-14-consolidated",
+    ])
     emit("table1_usage_models", table1())
-    emit("table2_nasa",
-         table_for_bundle(nasa_bundle(seed), PAPER_POLICIES["nasa-ipsc"],
-                          capacity=setup.capacity))
-    emit("table3_blue",
-         table_for_bundle(blue_bundle(seed), PAPER_POLICIES["sdsc-blue"],
-                          capacity=setup.capacity))
+    emit("table2_nasa", table_rows_from_payload(runs["table2-nasa"].payload))
+    emit("table3_blue", table_rows_from_payload(runs["table3-blue"].payload))
     emit("table4_montage",
-         table_for_bundle(montage_bundle(seed), PAPER_POLICIES["montage"],
-                          capacity=setup.capacity))
+         table_rows_from_payload(runs["table4-montage"].payload))
 
-    for name, bundle in (("fig09_sweep_blue", blue_bundle(seed)),
-                         ("fig10_sweep_nasa", nasa_bundle(seed))):
-        points = sweep_htc_parameters(bundle, capacity=setup.capacity)
-        emit(name, [
+    for name in ("fig09-sweep-blue", "fig10-sweep-nasa"):
+        emit(name.replace("-", "_"), [
             {
                 "B": p.initial_nodes,
                 "R": p.threshold_ratio,
                 "resource_consumption": p.resource_consumption,
                 "completed_jobs": p.completed_jobs,
             }
-            for p in points
+            for p in points_from_payload(runs[name].payload)
         ])
-    mtc_points = sweep_mtc_parameters(montage_bundle(seed),
-                                      capacity=setup.capacity)
     emit("fig11_sweep_montage", [
         {
             "B": p.initial_nodes,
@@ -110,21 +107,22 @@ def export_all(
             "resource_consumption": p.resource_consumption,
             "tasks_per_second": p.tasks_per_second,
         }
-        for p in mtc_points
+        for p in points_from_payload(runs["fig11-sweep-montage"].payload)
     ])
 
-    figures = figure12_13_14(setup)
+    figures = runs["fig12-14-consolidated"].payload
     emit("fig12_fig13_fig14_consolidated", [
         {
-            "system": s.system,
-            "total_consumption_node_hours": s.total_consumption_node_hours,
-            "peak_nodes_per_hour": s.peak_nodes_per_hour,
-            "adjusted_nodes": s.adjusted_nodes,
+            "system": s["system"],
+            "total_consumption_node_hours": s["total_consumption_node_hours"],
+            "peak_nodes_per_hour": s["concurrent_peak_nodes"],
+            "adjusted_nodes": s["adjusted_nodes"],
             "management_overhead_s_per_hour": round(
-                s.overhead_s_per_hour(figures.horizon_s), 1
+                overhead_s_per_hour(s["adjusted_nodes"], figures["horizon_s"]),
+                1,
             ),
         }
-        for s in figures.series
+        for s in figures["series"]
     ])
 
     tco = paper_case_study()

@@ -12,11 +12,9 @@ from typing import Optional
 
 from repro.api.registry import register_component
 from repro.core.dsp import MODEL_COMPARISON
-from repro.core.policies import ResourceManagementPolicy
 from repro.metrics.accounting import savings_vs_baseline
 from repro.metrics.results import ProviderMetrics
 from repro.systems import SYSTEM_ORDER
-from repro.systems.base import WorkloadBundle
 
 
 def table1() -> list[dict]:
@@ -76,26 +74,6 @@ def _row(metrics: ProviderMetrics, baseline: float, kind: str) -> dict:
         baseline,
         kind,
     )
-
-
-def table_for_bundle(
-    bundle: WorkloadBundle,
-    policy: ResourceManagementPolicy,
-    capacity: int = 500,
-    results: Optional[dict[str, ProviderMetrics]] = None,
-) -> list[dict]:
-    """Tables 2-4: per-service-provider metrics across the four systems.
-
-    Pass ``results`` to reuse an existing :func:`run_four_systems` output.
-    """
-    if results is None:
-        # lazy: repro.api.run pulls the whole systems stack, and this
-        # module is imported by the experiments package __init__
-        from repro.api.run import run_four_systems
-
-        results = run_four_systems(bundle, policy, capacity=capacity)
-    baseline = results["DCS"].resource_consumption
-    return [_row(results[s], baseline, bundle.kind) for s in SYSTEM_ORDER]
 
 
 def table_rows_from_payload(payload: dict) -> list[dict]:

@@ -347,20 +347,31 @@ class SimulationService:
             raise ServiceClosedError(f"service {self.name!r} is shut down")
 
 
+#: The runners a service can host: the fixed DCS/SSP machines and the
+#: DawningCloud TRE, the live runs the metrics and what-if layers read.
+SERVED_RUNNERS = ("dawningcloud", "dcs", "ssp")
+
+
 def build_service(spec: ServiceSpec, seed: int = 0) -> SimulationService:
     """Boot a :class:`SimulationService` from a declarative spec.
 
     Materializes an *empty* HTC bundle (``machine_nodes`` wide, alive to
     ``horizon_s``) and builds the spec's system over it via
     :func:`repro.api.run.build_live_system` — same component resolution
-    as batch runs, but nothing executed yet.  The engine kernel is
-    whatever the system spec says; serving operations force exact mode
-    on first event-granular use, and since the boot trace is empty the
-    fluid fast-path has nothing to win anyway.
+    as batch runs, but nothing executed yet; runners outside
+    :data:`SERVED_RUNNERS` are refused before anything is built.  The
+    engine kernel is whatever the system spec says; serving operations
+    force exact mode on first event-granular use, and since the boot
+    trace is empty the fluid fast-path has nothing to win anyway.
     """
     from repro.api.run import build_live_system
     from repro.systems.base import WorkloadBundle
 
+    if spec.system.runner not in SERVED_RUNNERS:
+        raise ValueError(
+            f"runner {spec.system.runner!r} cannot be served; served "
+            f"runners: {list(SERVED_RUNNERS)}"
+        )
     trace = Trace(
         spec.name, [],
         machine_nodes=spec.machine_nodes,

@@ -52,36 +52,47 @@ def _register_systems() -> None:
     """Self-register the system runners for the spec API.
 
     Every factory takes an already-materialized bundle plus data-level
-    parameters; ``policy``/``scheduler``/``meter`` objects are resolved
-    from nested spec refs by :func:`repro.api.run.run_system`.
+    parameters and returns the built-but-unrun
+    :class:`~repro.systems.base.LiveRun`; ``policy``/``scheduler``/
+    ``meter`` objects are resolved from nested spec refs by
+    :func:`repro.api.run.build_live_system`.
     """
     from repro.api.registry import register_component
-    from repro.systems.drp import DEFAULT_DRP_CAPACITY, run_drp_pooled
-    from repro.systems.dsp_runner import DEFAULT_CAPACITY
+    from repro.systems.drp import (
+        DEFAULT_DRP_CAPACITY,
+        DrpHtcLiveRun,
+        DrpMtcLiveRun,
+        DrpPooledLiveRun,
+    )
+    from repro.systems.dsp_runner import (
+        DEFAULT_CAPACITY,
+        DawningCloudHtcLiveRun,
+        DawningCloudMtcLiveRun,
+    )
+    from repro.systems.fixed import FixedLiveRun
 
     def dcs(bundle, seed=0, meter=None, failures=None, kernel=None):
         """DCS: a dedicated, owned cluster sized to the fixed configuration."""
-        return run_dcs(
-            bundle, meter=meter, failures=failures, seed=seed, kernel=kernel
-        )
+        return FixedLiveRun(bundle, "DCS", meter=meter, failures=failures,
+                            seed=seed, kernel=kernel)
 
     def ssp(bundle, seed=0, meter=None, failures=None, kernel=None):
         """SSP: the same fixed cluster, leased through the provider."""
-        return run_ssp(
-            bundle, meter=meter, failures=failures, seed=seed, kernel=kernel
-        )
+        return FixedLiveRun(bundle, "SSP", meter=meter, failures=failures,
+                            seed=seed, kernel=kernel)
 
     def drp(bundle, seed=0, capacity=DEFAULT_DRP_CAPACITY, meter=None,
             failures=None):
         """DRP: per-job leases (HTC) / a manual user pool (MTC), no queue."""
-        return run_drp(bundle, capacity=capacity, meter=meter,
-                       failures=failures, seed=seed)
+        cls = DrpHtcLiveRun if bundle.kind == "htc" else DrpMtcLiveRun
+        return cls(bundle, capacity=capacity, meter=meter, failures=failures,
+                   seed=seed)
 
     def drp_pooled(bundle, seed=0, capacity=DEFAULT_DRP_CAPACITY,
                    shared=False, meter=None):
         """DRP with cost-aware lease pooling (per end user, or shared)."""
-        return run_drp_pooled(bundle, capacity=capacity, shared=shared,
-                              meter=meter)
+        return DrpPooledLiveRun(bundle, capacity=capacity, shared=shared,
+                                meter=meter)
 
     def dawningcloud(bundle, seed=0, policy=None, capacity=DEFAULT_CAPACITY,
                      meter=None, failures=None, lease_unit_s=3600.0,
@@ -101,11 +112,11 @@ def _register_systems() -> None:
                 raise ValueError(
                     "lease_unit_s/setup_cost_s/scheduler are HTC-only knobs"
                 )
-            return run_dawningcloud_mtc(
+            return DawningCloudMtcLiveRun(
                 bundle, policy, capacity=capacity, meter=meter,
                 failures=failures, seed=seed,
             )
-        return run_dawningcloud_htc(
+        return DawningCloudHtcLiveRun(
             bundle, policy, capacity=capacity, meter=meter,
             failures=failures, seed=seed, lease_unit_s=lease_unit_s,
             setup_cost_s=setup_cost_s, scheduler=scheduler,
@@ -114,10 +125,10 @@ def _register_systems() -> None:
     def pooled_queue(bundle, seed=0, scheduler=None, pool_cap=None,
                      meter=None, failures=None):
         """A queued scheduler over one bounded, elastically leased pool."""
-        from repro.provisioning.runner import run_pooled_queue_htc
+        from repro.provisioning.runner import PooledQueueLiveRun
         from repro.scheduling.firstfit import FirstFitScheduler
 
-        return run_pooled_queue_htc(
+        return PooledQueueLiveRun(
             bundle, scheduler if scheduler is not None else FirstFitScheduler(),
             pool_cap=pool_cap, meter=meter, failures=failures, seed=seed,
         )

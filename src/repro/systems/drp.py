@@ -426,19 +426,3 @@ class DrpPooledLiveRun(LiveRun):
             peak_nodes=run.usage.peak(horizon),
             usage=run.usage,
         )
-
-
-def run_drp_pooled(
-    bundle: WorkloadBundle,
-    capacity: int = DEFAULT_DRP_CAPACITY,
-    shared: bool = False,
-    meter: Optional[BillingMeter] = None,
-) -> ProviderMetrics:
-    """DRP with cost-aware per-user node pooling (HTC ablation).
-
-    An extension beyond the paper: quantifies how much of DawningCloud's
-    saving over DRP survives once end users manage their leases cleverly.
-    """
-    return DrpPooledLiveRun(
-        bundle, capacity=capacity, shared=shared, meter=meter
-    ).run()

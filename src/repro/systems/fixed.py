@@ -48,9 +48,8 @@ HOUR = 3600.0
 class FixedLiveRun(LiveRun):
     """A DCS/SSP system built and loaded, but with no events executed.
 
-    Construction is the old ``_run_fixed`` prologue: engine, server,
-    fixed allocation, (optional) failure injector and the injected
-    workload.  :meth:`complete` advances to the horizon (HTC) or workflow
+    Construction builds the engine, server, fixed allocation,
+    (optional) failure injector and the injected workload.  :meth:`complete` advances to the horizon (HTC) or workflow
     completion (MTC); :meth:`finish` tears down and prices the run.
     Snapshot/fork any time in between.
 
@@ -241,19 +240,6 @@ class FixedLiveRun(LiveRun):
         )
 
 
-def _run_fixed(
-    bundle: WorkloadBundle,
-    system: str,
-    meter: Optional[BillingMeter] = None,
-    failures: Optional["FailureModel"] = None,
-    seed: int = 0,
-    kernel: Union[None, str, Mapping[str, Any]] = None,
-) -> ProviderMetrics:
-    return FixedLiveRun(
-        bundle, system, meter=meter, failures=failures, seed=seed, kernel=kernel
-    ).run()
-
-
 def run_dcs(
     bundle: WorkloadBundle,
     meter: Optional[BillingMeter] = None,
@@ -262,9 +248,9 @@ def run_dcs(
     kernel: Union[None, str, Mapping[str, Any]] = None,
 ) -> ProviderMetrics:
     """Run a workload on a dedicated cluster system (owned, fixed size)."""
-    return _run_fixed(
+    return FixedLiveRun(
         bundle, "DCS", meter=meter, failures=failures, seed=seed, kernel=kernel
-    )
+    ).run()
 
 
 def run_ssp(
@@ -275,6 +261,6 @@ def run_ssp(
     kernel: Union[None, str, Mapping[str, Any]] = None,
 ) -> ProviderMetrics:
     """Run a workload on a static-service-provision system (leased, fixed)."""
-    return _run_fixed(
+    return FixedLiveRun(
         bundle, "SSP", meter=meter, failures=failures, seed=seed, kernel=kernel
-    )
+    ).run()

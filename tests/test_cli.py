@@ -45,6 +45,31 @@ class TestCli:
         }
         assert expected <= set(_COMMANDS)
 
+    @pytest.mark.slow  # the cold export runs every paper scenario
+    def test_export_reads_scenarios_through_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.api.run
+        from repro.experiments.cache import ResultCache
+
+        cache = tmp_path / "cache"
+
+        def export(outdir: str) -> dict:
+            assert main(["export", "--outdir", str(tmp_path / outdir),
+                         "--cache-dir", str(cache)]) == 0
+            return {p.name: p.read_bytes()
+                    for p in (tmp_path / outdir).iterdir()}
+
+        cold = export("cold")
+        # Tables 2-4, Figures 9-11 and the consolidated Figures 12-14
+        assert len(ResultCache(cache).entries()) == 7
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a warm export must not simulate")
+
+        monkeypatch.setattr(repro.api.run, "run_artifact", no_simulation)
+        assert export("warm") == cold
+
 
 TINY_SPEC_TOML = """
 name = "cli-tiny"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.policies import ResourceManagementPolicy
+from repro.api.run import run_artifact
+from repro.experiments.ablations import workload_ref_for_bundle
 from repro.experiments.config import (
     EvaluationSetup,
     MONTAGE_FIXED_NODES,
@@ -17,15 +18,9 @@ from repro.experiments.report import (
     render_sweep,
     render_table,
 )
-from repro.experiments.sweep import (
-    SweepPoint,
-    best_point,
-    sweep_htc_parameters,
-    sweep_mtc_parameters,
-)
-from repro.experiments.tables import table1, table_for_bundle
+from repro.experiments.sweep import SweepPoint, best_point, points_from_payload
+from repro.experiments.tables import table1, table_rows_from_payload
 from repro.systems.base import WorkloadBundle
-from repro.workloads.workflow import Workflow
 from tests.conftest import make_job, make_trace
 
 HOUR = 3600.0
@@ -77,27 +72,43 @@ class TestTable1:
         assert table1()[0]["resource_property"] == "local"
 
 
-def _small_htc_bundle():
+def _small_htc_ref() -> dict:
     jobs = [
         make_job(i, submit=(i - 1) * 200.0, size=2, runtime=600.0)
         for i in range(1, 9)
     ]
-    return WorkloadBundle.from_trace("s", make_trace(jobs, 8, 2 * HOUR, "s"))
+    return workload_ref_for_bundle(
+        WorkloadBundle.from_trace("s", make_trace(jobs, 8, 2 * HOUR, "s"))
+    )
 
 
-def _small_mtc_bundle():
-    tasks = [make_job(1, runtime=20, workflow_id=1)] + [
-        make_job(i, runtime=20, deps=(1,), workflow_id=1) for i in range(2, 8)
-    ]
-    return WorkloadBundle.from_workflow("m", Workflow(1, tasks, name="m"),
-                                        fixed_nodes=3)
+#: an entry task, six parallel ~20 s workers and an exit task, on a
+#: 3-node fixed machine
+SMALL_MTC_REF = {
+    "generator": "fork-join",
+    "params": {"width": 6, "mean_runtime": 20.0, "fixed_nodes": 3},
+}
+
+
+def _four_systems_rows(workload: dict, policy: dict) -> list[dict]:
+    return table_rows_from_payload(run_artifact({
+        "kind": "four-systems", "workload": workload, "policy": policy,
+        "capacity": 64,
+    }))
+
+
+def _sweep_points(workload: dict, b: list, r: list) -> list[SweepPoint]:
+    return points_from_payload(run_artifact({
+        "kind": "sweep", "workload": workload, "capacity": 64, "B": b, "R": r,
+    }))
 
 
 class TestTablesForBundles:
     def test_htc_table_rows(self):
-        rows = table_for_bundle(
-            _small_htc_bundle(), ResourceManagementPolicy.for_htc(2, 1.5),
-            capacity=64,
+        rows = _four_systems_rows(
+            _small_htc_ref(),
+            {"name": "paper-htc",
+             "params": {"initial_nodes": 2, "threshold_ratio": 1.5}},
         )
         assert [r["configuration"] for r in rows] == [
             "DCS system",
@@ -110,34 +121,28 @@ class TestTablesForBundles:
         assert all("number_of_completed_jobs" in r for r in rows)
 
     def test_mtc_table_uses_tasks_per_second(self):
-        rows = table_for_bundle(
-            _small_mtc_bundle(), ResourceManagementPolicy.for_mtc(2, 8.0),
-            capacity=64,
+        rows = _four_systems_rows(
+            SMALL_MTC_REF,
+            {"name": "paper-mtc",
+             "params": {"initial_nodes": 2, "threshold_ratio": 8.0}},
         )
         assert all("tasks_per_second" in r for r in rows)
 
 
 class TestSweep:
     def test_htc_sweep_grid_size(self):
-        points = sweep_htc_parameters(
-            _small_htc_bundle(), initial_nodes=(2, 4), threshold_ratios=(1.0, 2.0),
-            capacity=64,
-        )
+        points = _sweep_points(_small_htc_ref(), [2, 4], [1.0, 2.0])
         assert len(points) == 4
         assert {p.label for p in points} == {"B2_R1", "B2_R2", "B4_R1", "B4_R2"}
+        # HTC throughput is completed jobs; the MTC rate stays empty
+        assert all(p.tasks_per_second is None for p in points)
 
     def test_mtc_sweep_reports_tasks_per_second(self):
-        points = sweep_mtc_parameters(
-            _small_mtc_bundle(), initial_nodes=(2,), threshold_ratios=(2.0, 8.0),
-            capacity=64,
-        )
+        points = _sweep_points(SMALL_MTC_REF, [2], [2.0, 8.0])
         assert all(p.tasks_per_second is not None for p in points)
 
     def test_larger_initial_nodes_cost_at_least_as_much_when_idle(self):
-        points = sweep_htc_parameters(
-            _small_htc_bundle(), initial_nodes=(2, 8), threshold_ratios=(2.0,),
-            capacity=64,
-        )
+        points = _sweep_points(_small_htc_ref(), [2, 8], [2.0])
         by_b = {p.initial_nodes: p.resource_consumption for p in points}
         assert by_b[8] >= by_b[2]
 

@@ -56,10 +56,10 @@ class TestWriteRows:
 class TestExportAll:
     @pytest.fixture(scope="class")
     def exported(self, tmp_path_factory):
-        from repro.experiments.config import EvaluationSetup
+        from repro.experiments.orchestrator import Orchestrator
 
         outdir = tmp_path_factory.mktemp("export")
-        paths = export_all(outdir, EvaluationSetup(seed=0))
+        paths = export_all(outdir, Orchestrator(seed=0))
         return outdir, paths
 
     def test_one_file_per_artifact(self, exported):

@@ -493,6 +493,13 @@ class TestServiceSpec:
                  "horizon_s": 100.0, "widow_s": 60.0}
             )
 
+    @pytest.mark.parametrize("runner", ["drp", "drp-pooled", "pooled-queue"])
+    def test_unserved_runner_refused_at_boot(self, runner):
+        with pytest.raises(
+            ValueError, match=r"\['dawningcloud', 'dcs', 'ssp'\]"
+        ):
+            build_service(dcs_spec(system=runner))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="machine_nodes"):
             dcs_spec(machine_nodes=0)

@@ -9,8 +9,8 @@ differential style:
   family, with and without a failure model, snapshotting at arbitrary
   hypothesis-chosen instants;
 * **differential**: prefix-shared sweeps (`share_prefix=True`) equal cold
-  sweeps point for point, at the sweep, run_experiment and
-  ``Simulation.fork()`` levels;
+  sweeps point for point, at the run_experiment and ``Simulation.fork()``
+  levels, for B×R grids and for every scheduler ref;
 * **alias guard**: closures in the heap are rejected at snapshot time.
 """
 
@@ -23,26 +23,24 @@ from hypothesis import strategies as st
 from conftest import make_job, make_trace
 from repro.api.run import (
     RETARGETABLE_SWEEP_PATHS,
+    SHARED_PREFIX_MIN_FRACTION,
     Simulation,
+    _resolve_share,
+    branch_instant,
     fork_experiment_branches,
+    materialize_workload,
     run_experiment,
     sweep_prefix_shareable,
 )
 from repro.api.spec import ExperimentSpec
 from repro.core.policies import ResourceManagementPolicy
+from repro.experiments.ablations import workload_ref_for_bundle
 from repro.experiments.cache import NullCache
-from repro.experiments.sweep import (
-    SHARED_PREFIX_MIN_FRACTION,
-    _resolve_share,
-    branch_instant,
-    sweep_htc_parameters,
-    sweep_mtc_parameters,
-)
 from repro.provisioning.runner import PooledQueueLiveRun
 from repro.reliability.failures import ExponentialFailures
 from repro.scheduling.firstfit import FirstFitScheduler
 from repro.simkit.snapshot import SnapshotAliasError
-from repro.systems.base import WorkloadBundle
+from repro.systems.base import LiveRun, WorkloadBundle
 from repro.systems.drp import DrpHtcLiveRun, DrpMtcLiveRun, DrpPooledLiveRun
 from repro.systems.dsp_runner import (
     DawningCloudHtcLiveRun,
@@ -187,22 +185,98 @@ def test_snapshot_rejects_closures_in_heap():
 # --------------------------------------------------------------------- #
 # differential: prefix-shared sweeps == cold sweeps
 # --------------------------------------------------------------------- #
-def test_htc_sweep_branched_equals_cold():
-    bundle = _htc_bundle()
-    grid = dict(initial_nodes=(4, 8), threshold_ratios=(1.0, 1.5, 2.0),
-                capacity=64)
-    cold = sweep_htc_parameters(bundle, share_prefix=False, **grid)
-    warm = sweep_htc_parameters(bundle, share_prefix=True, **grid)
+def _branched_equals_cold(spec: dict) -> None:
+    es = ExperimentSpec.from_dict(spec)
+    cold = [r.to_dict() for r in run_experiment(es, 0, share_prefix=False)]
+    warm = [r.to_dict() for r in run_experiment(es, 0, share_prefix=True)]
     assert warm == cold
+
+
+def test_htc_sweep_branched_equals_cold():
+    _branched_equals_cold({
+        "name": "htc-grid",
+        "workloads": [workload_ref_for_bundle(_htc_bundle())],
+        "systems": [{"runner": "dawningcloud",
+                     "policy": {"name": "paper-htc"},
+                     "params": {"capacity": 64}}],
+        "sweep": {"policy.params.initial_nodes": [4, 8],
+                  "policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
+    })
 
 
 def test_mtc_sweep_branched_equals_cold():
-    bundle = _mtc_bundle()
-    grid = dict(initial_nodes=(2, 4), threshold_ratios=(4.0, 8.0),
-                capacity=64)
-    cold = sweep_mtc_parameters(bundle, share_prefix=False, **grid)
-    warm = sweep_mtc_parameters(bundle, share_prefix=True, **grid)
-    assert warm == cold
+    _branched_equals_cold({
+        "name": "mtc-grid",
+        "workloads": [{"generator": "fork-join",
+                       "params": {"width": 6, "mean_runtime": 40.0}}],
+        "systems": [{"runner": "dawningcloud",
+                     "policy": {"name": "paper-mtc"},
+                     "params": {"capacity": 64}}],
+        "sweep": {"policy.params.initial_nodes": [2, 4],
+                  "policy.params.threshold_ratio": [4.0, 8.0]},
+    })
+
+
+def _late_trace_spec(scheduler: str) -> dict:
+    """60 jobs whose first arrival lands 40% into a 24 h horizon, so
+    ``share_prefix="auto"`` branches."""
+    start = 9.6 * HOUR
+    return {
+        "name": "late-trace",
+        "workloads": [{"generator": "inline-trace", "params": {
+            "name": "late", "machine_nodes": 32, "duration": 24 * HOUR,
+            "jobs": [[i, start + 90.0 * i, 1 + i % 8, 1800.0 + 600.0 * (i % 5)]
+                     for i in range(1, 61)],
+        }}],
+        "systems": [{"runner": "dawningcloud",
+                     "policy": {"name": "paper-htc",
+                                "params": {"initial_nodes": 4}},
+                     "scheduler": scheduler,
+                     "params": {"capacity": 40}}],
+        "sweep": {"policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
+    }
+
+
+@pytest.mark.parametrize(
+    "scheduler", ["first-fit", "sjf", "easy-backfill", "fcfs"]
+)
+def test_auto_shared_branches_keep_the_scheduler(scheduler):
+    spec = ExperimentSpec.from_dict(_late_trace_spec(scheduler))
+    bundle = materialize_workload(spec.workloads[0])
+    assert _resolve_share("auto", bundle)
+    cold = [r.to_dict() for r in run_experiment(spec, 0, share_prefix=False)]
+    auto = [r.to_dict() for r in run_experiment(spec, 0)]
+    assert auto == cold
+
+
+def test_scheduler_sweep_splits_the_grid_into_groups():
+    spec = _late_trace_spec("first-fit")
+    spec["sweep"]["scheduler"] = ["sjf", {"name": "easy-backfill"}]
+    _branched_equals_cold(spec)
+
+
+def test_grid_warms_up_once_per_b_and_forks_per_r(monkeypatch):
+    counts = {"warm-ups": 0, "forks": 0}
+    advance, fork = LiveRun.advance_before, LiveRun.fork
+
+    def counted_advance(self, time):
+        counts["warm-ups"] += 1
+        return advance(self, time)
+
+    def counted_fork(self):
+        counts["forks"] += 1
+        return fork(self)
+
+    monkeypatch.setattr(LiveRun, "advance_before", counted_advance)
+    monkeypatch.setattr(LiveRun, "fork", counted_fork)
+    spec = _late_trace_spec("first-fit")
+    spec["sweep"]["policy.params.initial_nodes"] = [4, 8]
+    branches = fork_experiment_branches(ExperimentSpec.from_dict(spec))
+    assert len(branches) == 6
+    assert counts == {"warm-ups": 2, "forks": 4}
+    assert [b.point["policy.params.initial_nodes"] for b in branches] == [
+        4, 4, 4, 8, 8, 8,
+    ]
 
 
 def _sweep_spec() -> dict:
@@ -247,7 +321,6 @@ def test_generator_touching_sweeps_are_not_shareable():
     spec = _sweep_spec()
     spec["sweep"]["workload.params.width"] = [3, 5]
     es = ExperimentSpec.from_dict(spec)
-    assert not sweep_prefix_shareable(es)
     with pytest.raises(ValueError, match="workload.params.width"):
         fork_experiment_branches(es)
 

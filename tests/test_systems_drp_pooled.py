@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api.run import run_system
 from repro.core.policies import ResourceManagementPolicy
 from repro.experiments.ablations import drp_pooling_ablation
 from repro.systems.base import WorkloadBundle
-from repro.systems.drp import run_drp, run_drp_pooled
+from repro.systems.drp import run_drp
 from repro.workloads.job import Job, Trace
 
 HOUR = 3600.0
@@ -13,6 +14,12 @@ HOUR = 3600.0
 #: whole-simulation tests: excluded from the fast tier
 pytestmark = pytest.mark.slow
 
+
+def _run_pooled(bundle: WorkloadBundle, shared: bool = False):
+    """The registered ``drp-pooled`` runner over one bundle."""
+    return run_system(
+        {"runner": "drp-pooled", "params": {"shared": shared}}, bundle
+    )
 
 
 def _reuse_friendly_trace() -> WorkloadBundle:
@@ -41,7 +48,7 @@ class TestPooledRuns:
     def test_reuse_cuts_cost_for_back_to_back_jobs(self):
         bundle = _reuse_friendly_trace()
         naive = run_drp(bundle)
-        pooled = run_drp_pooled(bundle)
+        pooled = _run_pooled(bundle)
         # naive: 20 jobs x 4 nodes x 1 started hour = 80 node-hours;
         # pooled: ~6 jobs/hour chain onto the same 4 nodes
         assert naive.resource_consumption == 80.0
@@ -50,12 +57,12 @@ class TestPooledRuns:
     def test_per_user_pooling_useless_across_users(self):
         bundle = _scattered_users_trace()
         naive = run_drp(bundle)
-        pooled = run_drp_pooled(bundle)
+        pooled = _run_pooled(bundle)
         assert pooled.resource_consumption >= naive.resource_consumption
 
     def test_shared_pool_rescues_scattered_users(self):
         bundle = _scattered_users_trace()
-        shared = run_drp_pooled(bundle, shared=True)
+        shared = _run_pooled(bundle, shared=True)
         naive = run_drp(bundle)
         assert shared.resource_consumption < 0.5 * naive.resource_consumption
 
@@ -63,15 +70,15 @@ class TestPooledRuns:
         for bundle in (_reuse_friendly_trace(), _scattered_users_trace()):
             for m in (
                 run_drp(bundle),
-                run_drp_pooled(bundle),
-                run_drp_pooled(bundle, shared=True),
+                _run_pooled(bundle),
+                _run_pooled(bundle, shared=True),
             ):
                 assert m.completed_jobs == 20
 
     def test_system_labels(self):
         bundle = _reuse_friendly_trace()
-        assert run_drp_pooled(bundle).system == "DRP-pooled"
-        assert run_drp_pooled(bundle, shared=True).system == "DRP-shared-pool"
+        assert _run_pooled(bundle).system == "DRP-pooled"
+        assert _run_pooled(bundle, shared=True).system == "DRP-shared-pool"
 
     def test_mtc_bundle_rejected(self):
         from repro.workloads.montage import MontageSpec, generate_montage
@@ -79,7 +86,7 @@ class TestPooledRuns:
         wf = generate_montage(MontageSpec(n_images=4, n_diffs=6), seed=0)
         bundle = WorkloadBundle.from_workflow("m", wf, fixed_nodes=4)
         with pytest.raises(ValueError, match="HTC"):
-            run_drp_pooled(bundle)
+            _run_pooled(bundle)
 
 
 class TestPoolingLadder:
