@@ -271,9 +271,10 @@ def serving_facade_point(n_jobs: int = 20_000) -> dict:
 
     Boots a DCS service from a spec, bulk-ingests a uniform synthetic
     trace through ``submit_batch`` (the O(n) ``schedule_batch`` path),
-    advances to mid-horizon, times a world fork (best of three — the
-    latency every what-if query pays twice), and answers one empty-delta
-    what-if whose byte-identity is asserted.  ``wall_s`` is the whole
+    advances to mid-horizon, times a world fork (best of three; one
+    snapshot plus one restore, where a what-if query pays one snapshot
+    and two restores), and answers one empty-delta what-if whose
+    byte-identity is asserted.  ``wall_s`` is the whole
     session, so the gate bounds ingest, advance, fork and the forked
     continuations together.
     """

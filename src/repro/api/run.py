@@ -278,7 +278,7 @@ RETARGETABLE_SWEEP_PATHS = frozenset(
 
 #: ``share_prefix="auto"`` branches only when the R-independent warm-up
 #: (everything before the first workload submission) covers at least this
-#: fraction of the horizon.  Forking deep-copies a fully loaded world —
+#: fraction of the horizon.  Forking pickles a fully loaded world —
 #: measurably more expensive than a cold build plus replay of a short
 #: prefix — so sharing pays only when the shared prefix is long.
 SHARED_PREFIX_MIN_FRACTION = 0.25

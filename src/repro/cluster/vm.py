@@ -78,7 +78,7 @@ class VMProvisionService:
         self.vms[vm.vm_id] = vm
         vm._transition(VMState.BOOTING)
         # bound method: boot completions sit in the heap for the boot
-        # latency and must deepcopy through engine snapshots
+        # latency and must pickle into engine snapshots
         self.engine.schedule(self.boot_latency_s, self._finish_boot, vm, on_running)
         return vm
 

@@ -71,7 +71,7 @@ class CommonServiceFramework:
 
         # bound method, not a closure: with nonzero start latency the
         # callback sits in the event heap, and snapshot/restore requires
-        # heap-reachable callables to deepcopy through the memo
+        # heap-reachable callables to pickle with the world
         self.lifecycle.create(tre.lifecycle, on_running=manager.start)
         self.tres[spec.provider] = tre
         return tre

@@ -118,11 +118,11 @@ class DawningCloud:
         else:
             # priority -1: the TRE exists before same-instant submissions.
             # Bound method, not a closure: pending events must survive
-            # engine snapshots, and deepcopy maps bound methods through the
-            # memo while closures alias the original object graph.  The
-            # spec is looked up by name at fire time (not baked into the
-            # event args) so a forked branch can retarget the policy of a
-            # TRE that does not exist yet.
+            # engine snapshots, which pickle bound methods with their
+            # instance and refuse closures.  The spec is looked up by
+            # name at fire time (not baked into the event args) so a
+            # forked branch can retarget the policy of a TRE that does
+            # not exist yet.
             self._pending_specs[name] = spec
             self.engine.schedule_at(
                 create_at, self._create_pending_tre, name, auto_destroy,

@@ -87,8 +87,7 @@ class LifecycleService:
 
         The deploy/start steps are bound methods, not closures: they sit in
         the event heap while latencies elapse, and heap-reachable callables
-        must deepcopy through the snapshot memo rather than alias the
-        original run.
+        must pickle into engine snapshots with the world they act on.
         """
         machine.transition(TREState.PLANNING, self.engine.now)
         self.engine.schedule(self.deploy_latency_s, self._deployed, machine, on_running)

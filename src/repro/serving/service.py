@@ -5,11 +5,12 @@ A :class:`SimulationService` owns one built-but-unrun
 every job arrives later through :meth:`~SimulationService.submit` or
 :meth:`~SimulationService.submit_batch`, which schedule arrival events
 on the live engine.  The service is therefore just more world state
-riding on the engine — which is the whole design: forking the service
-(`what-if` queries, see :mod:`repro.serving.whatif`) is one
-:func:`~repro.simkit.snapshot.fork_world` deepcopy with the service as
-the world root, so pending-arrival events, ingest counters and rolling
-metric cursors all branch consistently.
+riding on the engine — which is the whole design: a what-if query (see
+:mod:`repro.serving.whatif`) takes one
+:func:`~repro.simkit.snapshot.snapshot_world` snapshot with the service
+as the world root and restores its branches from it, so pending-arrival
+events, ingest counters and rolling metric cursors all branch
+consistently.
 
 Admission control
 -----------------
@@ -33,17 +34,21 @@ scheduled.
 Snapshot consistency
 --------------------
 All service methods run *between* engine callbacks (the engine is never
-left mid-event), so every metric read and every fork observes a world
-on an event boundary — the same guarantee the snapshot layer enforces
-via :func:`~repro.simkit.snapshot.assert_forkable`.
+left mid-event), so every metric read and every snapshot observes a
+world on an event boundary — the same guarantee
+:func:`~repro.simkit.snapshot.snapshot_world` enforces by refusing a
+running engine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.api.spec import ServiceSpec
 from repro.workloads.job import Job, Trace, TraceArrays
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simkit.snapshot import EngineSnapshot
 
 #: Base for service-allocated job ids (what-if load clones); far above
 #: any real trace id so clones never collide with operator-submitted ids.
@@ -246,7 +251,7 @@ class SimulationService:
         """Arrival event body: hand the job to the live system's server.
 
         A bound method on the service (not a closure) so pending
-        arrivals deepcopy consistently through world forks.
+        arrivals pickle with the world into snapshots.
         """
         self._pending_map.pop(job.job_id, None)
         live = self.live
@@ -307,20 +312,25 @@ class SimulationService:
 
         return collect_rolling(self)
 
-    def fork(self) -> "SimulationService":
-        """A fully disjoint branch of the whole service world.
+    def snapshot(self) -> "EngineSnapshot":
+        """Freeze the whole service world; each ``restore()`` is a branch.
 
         Forces exact mode first (a hybrid live run may still hold its
-        boot trace columnar) so the fork is event-granular, then runs
-        the snapshot layer's guard rails and deep-copies *the service*
-        as the world root — counters, pending-arrival map and metric
-        cursors branch together with the engine.
+        boot trace columnar) so the snapshot is event-granular, then
+        pickles *the service* as the world root — counters,
+        pending-arrival map and metric cursors branch together with the
+        engine.  Branches share the jobs already completed (see
+        :mod:`repro.simkit.snapshot`).
         """
         self._check_open()
         self._ensure_live_exact()
-        from repro.simkit.snapshot import fork_world
+        from repro.simkit.snapshot import snapshot_world
 
-        return fork_world(self, self.engine)
+        return snapshot_world(self, self.engine)
+
+    def fork(self) -> "SimulationService":
+        """One branch of the whole service world: ``snapshot().restore()``."""
+        return self.snapshot().restore()
 
     def shutdown(self, drain: bool = True) -> dict:
         """End the service and return the final metrics payload.

@@ -2,13 +2,14 @@
 
 ``what_if(delta, horizon_s)`` answers the operator question the paper's
 batch experiments cannot: *from exactly here*, what do the next
-``horizon_s`` seconds look like under a changed assumption?  Two forks
-of the service world are taken at the same instant — one continues
-unchanged (the baseline), one gets the :class:`ScenarioDelta` applied —
-both run to the horizon, and the result is a structured diff of their
-final metrics payloads.  An *empty* delta therefore reproduces the
-baseline byte-identically: both branches are forks of the same world
-evolving under the same events (the property the tests pin down).
+``horizon_s`` seconds look like under a changed assumption?  One
+snapshot of the service world is taken and two branches are restored
+from it — one continues unchanged (the baseline), one gets the
+:class:`ScenarioDelta` applied — both run to the horizon, and the result
+is a structured diff of their final metrics payloads.  An *empty* delta
+therefore reproduces the baseline byte-identically: both branches are
+restores of the same snapshot evolving under the same events (the
+property the tests pin down).
 
 Retargetable deltas
 -------------------
@@ -33,12 +34,12 @@ Only quantities that can change on a *live* world mid-run are accepted
 
 Supervision
 -----------
-Each query body — fork, apply, run both continuations — executes through
-:func:`repro.experiments.orchestrator.supervised_call`, so concurrent
-what-ifs get the orchestrator's bounded-retry/deadline semantics.  A
-retry re-forks from the (unmoved) live service, so it replays from the
-same instant.  Permanent failures surface as :class:`WhatIfError` with
-the structured error chain attached.
+Each query body — snapshot, restore, apply, run both continuations —
+executes through :func:`repro.experiments.orchestrator.supervised_call`,
+so concurrent what-ifs get the orchestrator's bounded-retry/deadline
+semantics.  A retry snapshots the (unmoved) live service again, so it
+replays from the same instant.  Permanent failures surface as
+:class:`WhatIfError` with the structured error chain attached.
 """
 
 from __future__ import annotations
@@ -342,11 +343,12 @@ class WhatIfEngine:
         return self.run_many([self._query(delta, horizon_s, label)])[0]
 
     def run_many(self, queries) -> list[WhatIfResult]:
-        """Answer several queries, all forked from the same instant.
+        """Answer several queries, all branched from the same instant.
 
         The live service never advances while queries run, so every
-        fork — including supervised retries — observes the identical
-        world state: the "concurrent what-ifs" consistency guarantee.
+        snapshot — including supervised retries' — observes the
+        identical world state: the "concurrent what-ifs" consistency
+        guarantee.
         """
         from repro.experiments.orchestrator import supervised_call
 
@@ -378,15 +380,17 @@ class WhatIfEngine:
         return WhatIfQuery(delta=delta, horizon_s=horizon_s, label=label)
 
     def _answer(self, query: WhatIfQuery) -> WhatIfResult:
-        """One supervised query body: fork twice, apply, run both."""
+        """One supervised query body: snapshot once, restore two
+        branches, apply the delta to one, run both."""
         service = self.service
         at = service.now
         t_end = at + query.horizon_s
 
         t0 = _time.perf_counter()
-        scenario_branch = service.fork()
+        snapshot = service.snapshot()
+        scenario_branch = snapshot.restore()
         fork_wall_s = _time.perf_counter() - t0
-        baseline_branch = service.fork()
+        baseline_branch = snapshot.restore()
 
         stats = apply_delta(scenario_branch, query.delta, seed=service.seed)
         scenario_payload = _run_continuation(scenario_branch, t_end)

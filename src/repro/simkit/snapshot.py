@@ -1,24 +1,38 @@
-"""Whole-engine snapshot/restore with mid-run branching (PR 6).
+"""Whole-engine snapshot/restore with mid-run branching.
 
 An :class:`EngineSnapshot` freezes an entire simulation *world* — the
 engine (heap entries, clock, executed/cancelled counters), every timer
 riding on it (grid epoch, armed tick index, suspension state), the seeded
 RNG streams, cluster/ledger/billing state and the runners' server/queue
-state — by deep-copying the world's root object through one shared memo.
-:meth:`EngineSnapshot.restore` hands back a *fresh* deep copy, so a single
+state — as protocol-5 pickle bytes of the world's root object.
+:meth:`EngineSnapshot.restore` unpickles those bytes, so a single
 snapshot can branch arbitrarily many what-if continuations, each with its
-own disjoint mutable state.
+own disjoint mutable state.  Taking a snapshot is one ``dump``; each
+restore is one ``load``.
 
 Determinism argument
 --------------------
 The engine is a pure function of its heap and clock: events fire in
 ``(time, priority, seq)`` order and scheduling happens only from event
-callbacks.  A deep copy maps every reachable object — including the
+callbacks.  Pickling maps every reachable object — including the
 callables inside heap entries, which is why they must be *bound methods*
-or :class:`functools.partial` objects (both copy their ``__self__``/args
-through the memo) rather than closures (atomic under deepcopy, so they
-would silently alias the original world's mutable state).
-:func:`verify_heap_callables` enforces that invariant at snapshot time.
+or :class:`functools.partial` objects (both pickle their ``__self__``/args
+with the world) rather than closures or lambdas.  Pickle refuses those
+wherever they sit in the world, on the heap or in any attribute, and
+:func:`snapshot_world` reports the refusal as :class:`SnapshotAliasError`.
+
+Shared completed jobs
+---------------------
+A :class:`~repro.workloads.job.Job` that is COMPLETED at the snapshot
+instant is not pickled: the pickler emits it as a persistent id (an index
+into the snapshot's list of such jobs, one entry per object however often
+the world reaches it), and every restore hands back the very same object.
+A long-lived world's history is therefore never copied, and a snapshot's
+cost is the size of its *open* state.  This is safe because COMPLETED is
+terminal: ``mark_queued``, ``mark_running``, ``mark_completed`` and
+``mark_requeued`` all refuse a completed job, and nothing else writes a
+job's fields, so the original run and every branch read the same frozen
+``(state, start_time, finish_time)``.
 
 Two pieces of process-global state survive on purpose:
 
@@ -32,109 +46,68 @@ Two pieces of process-global state survive on purpose:
 
 from __future__ import annotations
 
-import copy
-import types
-from functools import partial
+import io
+import pickle
 from typing import Any, Optional
 
 from repro.simkit.engine import SimulationEngine
+from repro.workloads.job import Job, JobState
 
 
 class SnapshotAliasError(RuntimeError):
-    """A heap callable would alias the original world after deepcopy."""
+    """The world holds an object a snapshot cannot carry (a closure, ...)."""
 
 
-def _innermost_function(fn: Any) -> Any:
-    """Unwrap partials/bound methods down to the underlying function."""
-    while True:
-        if isinstance(fn, partial):
-            fn = fn.func
-        elif isinstance(fn, types.MethodType):
-            fn = fn.__func__
-        else:
-            return fn
+class _WorldPickler(pickle.Pickler):
+    """Pickles a world, passing its COMPLETED jobs by reference."""
 
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=5)
+        #: the completed jobs, in persistent-id order
+        self.shared: list[Job] = []
+        self._index: dict[int, int] = {}
 
-def verify_heap_callables(engine: SimulationEngine) -> None:
-    """Reject pending events whose callbacks cannot survive a deep copy.
-
-    Bound methods and partials deepcopy through the memo; plain functions
-    are fine only when they close over nothing (deepcopy treats functions
-    as atomic, so captured cells would keep pointing into the original
-    world).  This is the guard that flushes out latent alias bugs the
-    moment someone schedules a closure into a snapshot-able world.
-    """
-    for entry in engine._heap:
-        event = entry[3]
-        if event._cancelled:
-            continue
-        fn = _innermost_function(event.fn)
-        if isinstance(fn, types.FunctionType) and fn.__closure__ is not None:
-            raise SnapshotAliasError(
-                f"event at t={event.time} calls closure "
-                f"{fn.__qualname__!r}; schedule a bound method or "
-                f"functools.partial instead so snapshots do not alias "
-                f"the original run"
-            )
-
-
-def assert_forkable(
-    world: Any,
-    engine: Optional[SimulationEngine] = None,
-    *,
-    max_pending_events: Optional[int] = None,
-) -> None:
-    """All snapshot/fork preconditions, without paying for a deepcopy.
-
-    Long-lived services fork on every what-if query, so they want the
-    failure modes (mid-callback fork, closure in the heap, unbounded
-    pending backlog) surfaced as a cheap precondition check with a
-    pointed error, not as a deep-copy surprise.  ``max_pending_events``
-    optionally bounds the live heap size: forking a world with millions
-    of pending arrivals deep-copies all of them, which a service-level
-    caller may prefer to refuse outright.
-    """
-    if engine is None:
-        engine = world.engine
-    if engine._running:
-        raise RuntimeError(
-            "cannot fork while the engine is running; fork between "
-            "run()/advance_before() calls"
-        )
-    verify_heap_callables(engine)
-    if max_pending_events is not None:
-        pending = sum(1 for entry in engine._heap if not entry[3]._cancelled)
-        if pending > max_pending_events:
-            raise RuntimeError(
-                f"world has {pending} live pending events, above the fork "
-                f"bound of {max_pending_events}; advance the run or raise "
-                f"the bound before forking"
-            )
+    def persistent_id(self, obj: Any) -> Optional[int]:
+        if type(obj) is Job and obj.state is JobState.COMPLETED:
+            index = self._index.get(id(obj))
+            if index is None:
+                index = self._index[id(obj)] = len(self.shared)
+                self.shared.append(obj)
+            return index
+        return None
 
 
 class EngineSnapshot:
-    """A frozen deep copy of a simulation world at one instant.
+    """A simulation world frozen at one instant, as pickle bytes.
 
-    The snapshot owns a private deep copy of ``world``; every
-    :meth:`restore` returns another fresh deep copy of that private copy,
-    so neither the original run nor any branch can reach the snapshot's
-    state (or each other's).
+    Bytes are immutable and the shared jobs are COMPLETED (terminal), so
+    neither the original run nor any branch can change what a later
+    :meth:`restore` returns; each builds a fresh world from the bytes.
     """
 
-    __slots__ = ("_world", "time", "label")
+    __slots__ = ("_data", "_shared", "time", "label")
 
-    def __init__(self, world: Any, time: float, label: str = "") -> None:
-        self._world = world
+    def __init__(
+        self, data: bytes, shared: list[Job], time: float, label: str = ""
+    ) -> None:
+        self._data = data
+        self._shared = shared
         self.time = time
         self.label = label
 
     def restore(self) -> Any:
-        """A fresh, fully disjoint copy of the world, ready to continue."""
-        return copy.deepcopy(self._world)
+        """A fresh copy of the world, ready to continue; the jobs that
+        were COMPLETED at the snapshot instant are shared, not copied."""
+        unpickler = pickle.Unpickler(io.BytesIO(self._data))
+        unpickler.persistent_load = self._shared.__getitem__
+        return unpickler.load()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" {self.label!r}" if self.label else ""
-        return f"<EngineSnapshot{tag} t={self.time:.3f}>"
+        return (
+            f"<EngineSnapshot{tag} t={self.time:.3f} {len(self._data)} B "
+            f"shared_jobs={len(self._shared)}>"
+        )
 
 
 def snapshot_world(
@@ -146,26 +119,30 @@ def snapshot_world(
     ``engine`` argument — is the simulation engine the world runs on)."""
     if engine is None:
         engine = world.engine
-    assert_forkable(world, engine)
-    return EngineSnapshot(copy.deepcopy(world), engine.now, label)
-
-
-def fork_world(world: Any, engine: Optional[SimulationEngine] = None) -> Any:
-    """One live branch of ``world``, without keeping a snapshot around.
-
-    Semantically ``snapshot_world(world).restore()`` — the same alias
-    verification, the same disjointness guarantee — at half the copying
-    cost (one deepcopy instead of snapshot + restore).  Use it when
-    branches are consumed immediately (prefix-shared sweeps); keep an
-    :class:`EngineSnapshot` when the frozen state itself must outlive the
-    run that produced it.
-    """
-    if engine is None:
-        engine = world.engine
     if engine._running:
         raise RuntimeError(
             "cannot fork while the engine is running; fork between "
             "run()/advance_before() calls"
         )
-    verify_heap_callables(engine)
-    return copy.deepcopy(world)
+    buffer = io.BytesIO()
+    pickler = _WorldPickler(buffer)
+    try:
+        pickler.dump(world)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SnapshotAliasError(
+            f"cannot snapshot the world at t={engine.now}: {exc}; keep "
+            f"closures and lambdas out of simulation state (use a bound "
+            f"method or functools.partial) so branches do not alias the "
+            f"original run"
+        ) from exc
+    return EngineSnapshot(buffer.getvalue(), pickler.shared, engine.now, label)
+
+
+def fork_world(world: Any, engine: Optional[SimulationEngine] = None) -> Any:
+    """One live branch of ``world``: ``snapshot_world(world).restore()``.
+
+    Use it when branches are consumed immediately (prefix-shared sweeps);
+    keep an :class:`EngineSnapshot` when several branches start from one
+    instant, so the world is pickled once.
+    """
+    return snapshot_world(world, engine).restore()

@@ -149,11 +149,11 @@ class LiveRun:
         return snapshot_world(self, self.engine, label)
 
     def fork(self) -> "LiveRun":
-        """A live branch of this run, fully disjoint from the original.
+        """A live branch of this run: ``snapshot().restore()``.
 
-        Equivalent to ``snapshot().restore()`` at half the copying cost;
-        both this run and the branch continue independently and
-        byte-identically to runs that were never branched.
+        Both this run and the branch continue independently and
+        byte-identically to runs that were never branched; they share
+        only the jobs already completed, which never change again.
         """
         from repro.simkit.snapshot import fork_world
 

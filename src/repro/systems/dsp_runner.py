@@ -13,6 +13,7 @@ Two granularities, matching the paper's evaluation:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.dawningcloud import DawningCloud
@@ -34,6 +35,12 @@ HOUR = 3600.0
 #: dynamic requests is what bounds DawningCloud's expansion under bursts.
 #: 420 nodes reproduces that regime.
 DEFAULT_CAPACITY = 420
+
+
+def _same(value):
+    """``partial(_same, x)`` is a zero-arg factory returning ``x`` itself,
+    which pickles with the world (a ``lambda: x`` would not)."""
+    return value
 
 
 def _elastic_injector(
@@ -138,7 +145,7 @@ class DawningCloudHtcLiveRun(LiveRun):
         cloud.add_htc_provider(
             bundle.name, policy,
             scheduler_factory=(
-                None if scheduler is None else (lambda: scheduler)
+                None if scheduler is None else partial(_same, scheduler)
             ),
         )
         self.injector = (

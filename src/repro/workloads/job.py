@@ -7,9 +7,11 @@ collection of jobs plus the machine context they were recorded on.
 
 Jobs carry *immutable workload facts* (submit time, size, runtime,
 dependencies) set by generators/parsers, and *mutable execution state*
-(state, start/finish time) written by the simulators.  ``Job.reset()``
-clears execution state so one trace object can be replayed through several
-systems.
+(state, start/finish time) written by the simulators through the
+``mark_*`` transitions.  COMPLETED is terminal: no transition leaves it, so
+a completed job is frozen (world snapshots share such jobs between
+branches instead of copying them).  A replay takes fresh jobs
+(:meth:`Trace.copy`, :func:`clone_job`) rather than rewinding used ones.
 
 Columnar storage
 ----------------
@@ -22,7 +24,7 @@ run vectorized on it.  :class:`Job` objects exist only where a simulator
 actually schedules them: a :class:`Trace` built
 :meth:`from arrays <Trace.from_arrays>` materializes its job list lazily —
 and each :meth:`Trace.copy` re-materializes fresh jobs from the shared,
-immutable columns instead of deep-copying Python objects.
+immutable columns instead of copying Python objects.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class Job:
     workflow_id: Optional[int] = None
     dependencies: tuple[int, ...] = ()
 
-    # --- mutable execution state (reset between simulations) ---
+    # --- mutable execution state (frozen once COMPLETED) ---
     state: JobState = field(default=JobState.PENDING, compare=False)
     start_time: Optional[float] = field(default=None, compare=False)
     finish_time: Optional[float] = field(default=None, compare=False)
@@ -116,12 +118,6 @@ class Job:
     @property
     def is_workflow_task(self) -> bool:
         return self.workflow_id is not None
-
-    def reset(self) -> None:
-        """Clear execution state so the job can be replayed."""
-        self.state = JobState.PENDING
-        self.start_time = None
-        self.finish_time = None
 
     def mark_queued(self, now: float) -> None:
         if self.state not in (JobState.PENDING,):
@@ -546,11 +542,6 @@ class Trace:
     @property
     def duration_hours(self) -> float:
         return self.duration / 3600.0
-
-    def reset(self) -> None:
-        """Clear execution state on every job (replay support)."""
-        for job in self.jobs:
-            job.reset()
 
     def subset(self, start: float, end: float, name: Optional[str] = None) -> "Trace":
         """Jobs submitted in ``[start, end)``, re-based to t=0."""

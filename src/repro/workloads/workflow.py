@@ -146,9 +146,9 @@ class Workflow:
     def completed(self) -> bool:
         """Every task is COMPLETED.
 
-        COMPLETED is terminal until :meth:`reset`, so the check advances a
-        cursor over the completed prefix of ``tasks``: polling after every
-        engine step (``systems.base.run_until``) is amortised O(1).
+        COMPLETED is terminal, so the check advances a cursor over the
+        completed prefix of ``tasks``: polling after every engine step
+        (``systems.base.run_until``) is amortised O(1).
         """
         tasks = self.tasks
         done = self._done
@@ -157,11 +157,6 @@ class Workflow:
             done += 1
         self._done = done
         return done == n
-
-    def reset(self) -> None:
-        for t in self.tasks:
-            t.reset()
-        self._rewind()
 
     def _rewind(self) -> None:
         """Fresh per-run release state: unmet counts and completed prefix."""

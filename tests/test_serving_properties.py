@@ -10,6 +10,10 @@ hand-picked ones in ``test_serving``:
   serving layer's version of the snapshot layer's non-perturbation
   guarantee, composed through ingest counters, pending-arrival events
   and rolling-metric cursors.
+* **Snapshot oracle** — a what-if answered from one pickle snapshot
+  equals the answer built from two ``copy.deepcopy`` forks of the
+  service (the serializer the snapshot replaced), for an empty delta and
+  for a load delta, at arbitrary session instants.
 * **Window conservation** — trailing windows sampled every ``W`` tile
   the timeline exactly: per-window counts, sums and attainment-weighted
   counts add up to the cumulative totals, for arbitrary event times and
@@ -19,6 +23,7 @@ hand-picked ones in ``test_serving``:
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -32,13 +37,15 @@ from repro.metrics.rolling import (
     sum_in_window,
     window_start,
 )
-from repro.serving import WhatIfEngine, build_service
+from repro.serving import ScenarioDelta, WhatIfEngine, build_service
+from repro.serving.whatif import apply_delta
 from repro.api.spec import ServiceSpec
 from repro.workloads.job import Job
 
 pytestmark = pytest.mark.timeout(300)
 
 DAY = 86400.0
+HOUR = 3600.0
 
 
 def _spec(nodes: int = 8) -> ServiceSpec:
@@ -115,6 +122,54 @@ class TestNoDeltaNeutrality:
             branch = service.fork()
             assert branch.now == service.now
         assert service.shutdown(drain=True) == expected
+
+
+def _deepcopy_what_if(service, delta: dict, horizon_s: float) -> tuple:
+    """A what-if answered from two deepcopy forks of the live service."""
+    t_end = service.now + horizon_s
+    scenario, baseline = copy.deepcopy(service), copy.deepcopy(service)
+    stats = apply_delta(
+        scenario, ScenarioDelta.from_dict(delta), seed=service.seed
+    )
+    payloads = []
+    for branch in (baseline, scenario):
+        branch.live.horizon = t_end
+        payloads.append(branch.shutdown(drain=True))
+    return (*payloads, stats["cloned_jobs"], stats["shed_jobs"])
+
+
+class TestSnapshotOracle:
+    @pytest.mark.parametrize("delta", [{}, {"load_multiplier": 1.5}],
+                             ids=["empty", "load-1.5"])
+    @given(
+        specs=job_specs,
+        pick=st.integers(min_value=0),
+        into=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_whatif_equals_two_deepcopy_forks(self, specs, pick, into,
+                                              delta):
+        # a session: each hour, ingest that hour's arrivals and advance.
+        # The what-if comes part way into the hour of a picked job,
+        # before that job arrives, so the load delta has jobs to clone.
+        jobs = _jobs(specs)
+        due = jobs[pick % len(jobs)].submit_time
+        hour_start = due // HOUR * HOUR
+        at = hour_start + into * (due - hour_start)
+        service = build_service(_spec())
+        for hour in range(int(hour_start // HOUR) + 1):
+            service.submit_batch(
+                [j for j in jobs if hour * HOUR <= j.submit_time
+                 < (hour + 1) * HOUR]
+            )
+            service.advance_to(min((hour + 1) * HOUR, at))
+        # the reference first: deepcopy forks leave the live world as is
+        expected = _deepcopy_what_if(service, delta, HOUR)
+        answer = WhatIfEngine(service).what_if(delta, HOUR)
+        assert (
+            answer.baseline, answer.scenario,
+            answer.cloned_jobs, answer.shed_jobs,
+        ) == expected
 
 
 class TestWindowConservation:

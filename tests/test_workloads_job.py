@@ -42,15 +42,6 @@ class TestJob:
         with pytest.raises(RuntimeError):
             job.mark_completed(1)
 
-    def test_reset_clears_execution_state(self):
-        job = make_job(1)
-        job.mark_queued(0)
-        job.mark_running(1)
-        job.mark_completed(2)
-        job.reset()
-        assert job.state is JobState.PENDING
-        assert job.start_time is None and job.finish_time is None
-
     def test_workflow_task_flag(self):
         assert make_job(1, workflow_id=3).is_workflow_task
         assert not make_job(1).is_workflow_task
@@ -96,11 +87,6 @@ class TestTrace:
 
     def test_total_work(self, small_trace):
         assert small_trace.total_work == sum(j.work for j in small_trace)
-
-    def test_reset_resets_all_jobs(self, small_trace):
-        small_trace.jobs[0].mark_queued(0)
-        small_trace.reset()
-        assert all(j.state is JobState.PENDING for j in small_trace)
 
     def test_copy_is_independent(self, small_trace):
         clone = small_trace.copy()

@@ -94,12 +94,6 @@ class TestExecutionSupport:
     def test_makespan_none_while_incomplete(self, diamond_workflow):
         assert diamond_workflow.makespan() is None
 
-    def test_reset(self, diamond_workflow):
-        t1 = diamond_workflow.task(1)
-        t1.mark_queued(0)
-        diamond_workflow.reset()
-        assert all(t.state is JobState.PENDING for t in diamond_workflow.tasks)
-
     def test_release_walks_the_diamond(self, diamond_workflow):
         wf = diamond_workflow
         assert _ids(wf.release()) == [1]
@@ -207,8 +201,7 @@ class TestIncrementalRelease:
         # a clone taken mid-run starts fresh, whatever its source did since
         assert all(t.state is JobState.PENDING for t in mid_run.tasks)
         _drive(mid_run, data)
-        wf.reset()
-        _drive(wf, data)
+        _drive(wf.clone(), data)
 
     def test_wide_join_released_by_its_last_dependency_only(self):
         fan = [make_job(i, workflow_id=2) for i in range(1, 663)]
