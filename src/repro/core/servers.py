@@ -45,6 +45,8 @@ could run now, matching §3.1.1's description of dependency-driven job flow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.metrics.timeseries import UsageRecorder
@@ -127,6 +129,9 @@ class REServer:
         self._owned = 0
         self.used = 0
         self.submitted_jobs = 0
+        #: completion log, appended at ``engine.now`` by ``_finish`` (and in
+        #: finish order by the fluid tier's replay), so it is in
+        #: non-decreasing ``finish_time`` order: ``completed_by`` bisects it
         self.completed: list[Job] = []
         self._workflows: list[Workflow] = []
         self._wf_of_task: dict[int, Workflow] = {}
@@ -334,20 +339,19 @@ class REServer:
     def dispatch(self) -> int:
         """Start whatever the scheduling policy picks; returns the count."""
         queue = self.queue
-        queued = queue.jobs_view
-        if not queued:
+        if not queue._jobs:
             return 0
         idle = self._owned - self.used
         if idle <= 0:
-            return 0  # nothing can start; spare the scheduler the scan
+            return 0  # nothing can start; spare the scheduler the call
         if idle < queue.smallest_demand:
             # No queued job fits, so no legal scheduler can start one
-            # (nothing may exceed the free width): skip the O(queue)
-            # policy walk every backlogged scan would otherwise pay.
+            # (nothing may exceed the free width): skip the policy call
+            # every backlogged scan would otherwise pay.
             return 0
         picked = self.scheduler.select(
             self.engine.now,
-            queued,
+            queue,
             idle,
             self.running.values(),
         )
@@ -445,7 +449,9 @@ class REServer:
 
     def completed_by(self, horizon: float) -> int:
         """Jobs completed at or before ``horizon`` (the Tables 2-3 metric)."""
-        return sum(1 for j in self.completed if (j.finish_time or 0.0) <= horizon)
+        return bisect_right(
+            self.completed, horizon, key=attrgetter("finish_time")
+        )
 
     def makespan(self) -> Optional[float]:
         """Span from first submission to last completion (MTC metric)."""

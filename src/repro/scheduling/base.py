@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 from typing import NamedTuple, Sequence
 
+from repro.scheduling.queue import JobQueue
 from repro.workloads.job import Job
 
 
@@ -47,11 +48,16 @@ class Scheduler(abc.ABC):
     def select(
         self,
         now: float,
-        queued: Sequence[Job],
+        queued: JobQueue,
         free_nodes: int,
         running: Sequence[RunningJob] = (),
     ) -> list[Job]:
         """Return the queued jobs to start at ``now``.
+
+        ``queued`` is the server's :class:`~repro.scheduling.queue.JobQueue`
+        itself: iterate it for arrival order (``len()`` works too), copy it
+        with ``list()`` for positional access, and never mutate it — the
+        server removes the picks as it starts them.
 
         Implementations must never select more aggregate width than
         ``free_nodes`` and must preserve queue membership (no duplicates).

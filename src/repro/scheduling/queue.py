@@ -7,6 +7,9 @@ demand aggregates the paper's resource-management policy needs (§3.2.2.1):
   queue" (numerator of the ratio of obtaining resources);
 * ``biggest_demand`` — "the resource demand of the present biggest job in
   the queue" (the DR2 trigger).
+
+It also answers the paper's HTC scheduling question itself
+(:meth:`JobQueue.first_fit`), from a per-width index over the same jobs.
 """
 
 from __future__ import annotations
@@ -17,12 +20,19 @@ from repro.workloads.job import Job
 
 
 class JobQueue:
-    """FIFO of queued jobs with demand aggregates.
+    """FIFO of queued jobs with demand aggregates and a first-fit index.
 
     Backed by an insertion-ordered dict keyed on ``job_id``: dispatch
     removes jobs from the *middle* of the arrival order (first-fit skips
-    a too-wide head), which on a list is an O(n) scan per started job —
-    the single hottest queue operation of a two-week sweep.
+    a too-wide head), which a dict does in O(1) where a list would scan.
+
+    Beside it sits one FIFO bucket per job width, ``size -> {job_id:
+    seq}``, where ``seq`` counts pushes: a bucket is its width's jobs in
+    arrival order, and the earliest arrival among several buckets is the
+    head with the smallest ``seq``.  A requeued job (remove, then push)
+    takes a fresh ``seq`` at the tail of both orders.  The buckets' keys
+    give the smallest and biggest queued widths without a scan, and
+    :meth:`first_fit` reads heads instead of walking a long backlog.
     """
 
     def __init__(self) -> None:
@@ -31,8 +41,9 @@ class JobQueue:
         # (tens of thousands of scans per two-week run), so they must not
         # rescan the queue.
         self._total_demand = 0
-        self._size_counts: dict[int, int] = {}
+        self._buckets: dict[int, dict[int, int]] = {}
         self._biggest = 0
+        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -48,41 +59,94 @@ class JobQueue:
         """The queue in arrival order (a copy; safe to mutate)."""
         return list(self._jobs.values())
 
-    @property
-    def jobs_view(self):
-        """Zero-copy read-only view of the queue in arrival order.
-
-        The dispatch hot path hands this to schedulers, which only
-        iterate it; anything that mutates the queue must go through
-        push/remove.  Schedulers needing random access materialize their
-        own list.
-        """
-        return self._jobs.values()
-
     def push(self, job: Job) -> None:
-        if job.job_id in self._jobs:
-            raise ValueError(f"job {job.job_id} already queued")
-        self._jobs[job.job_id] = job
-        self._total_demand += job.size
-        self._size_counts[job.size] = self._size_counts.get(job.size, 0) + 1
-        if job.size > self._biggest:
-            self._biggest = job.size
+        job_id = job.job_id
+        if job_id in self._jobs:
+            raise ValueError(f"job {job_id} already queued")
+        self._jobs[job_id] = job
+        size = job.size
+        self._total_demand += size
+        bucket = self._buckets.get(size)
+        if bucket is None:
+            bucket = self._buckets[size] = {}
+            if size > self._biggest:
+                self._biggest = size
+        self._seq += 1
+        bucket[job_id] = self._seq
 
     def remove(self, job: Job) -> None:
-        if job.job_id not in self._jobs:
-            raise ValueError(f"job {job.job_id} not in queue")
-        del self._jobs[job.job_id]
-        self._total_demand -= job.size
-        count = self._size_counts[job.size] - 1
-        if count:
-            self._size_counts[job.size] = count
-        else:
-            del self._size_counts[job.size]
-            if job.size == self._biggest:
-                self._biggest = max(self._size_counts, default=0)
+        job_id = job.job_id
+        if job_id not in self._jobs:
+            raise ValueError(f"job {job_id} not in queue")
+        del self._jobs[job_id]
+        size = job.size
+        self._total_demand -= size
+        bucket = self._buckets[size]
+        del bucket[job_id]
+        if not bucket:
+            del self._buckets[size]
+            if size == self._biggest:
+                self._biggest = max(self._buckets, default=0)
 
     def head(self) -> Optional[Job]:
         return next(iter(self._jobs.values()), None)
+
+    # ------------------------------------------------------------------ #
+    # first-fit (§4.4)
+    # ------------------------------------------------------------------ #
+    def first_fit(self, free_nodes: int) -> list[Job]:
+        """The jobs first-fit starts on ``free_nodes`` idle nodes, in order.
+
+        Equal to walking the queue in arrival order and taking each job
+        that fits in what the earlier picks left.  The queue is not
+        changed: the server removes the picks as it starts them.
+
+        A queue of at most four jobs per distinct width is walked.  A
+        longer one is answered from the bucket heads: the next pick is
+        the earliest-arrival head among the buckets no wider than the
+        width left.  That is the walk's next pick, because the width left
+        only shrinks within a call, so every job the walk would pass over
+        on the way (an earlier arrival of another width) still does not
+        fit; and a bucket too wide once stays too wide for the call.
+        """
+        jobs = self._jobs
+        buckets = self._buckets
+        picked: list[Job] = []
+        remaining = free_nodes
+        if len(jobs) <= 4 * len(buckets):
+            for job in jobs.values():
+                if job.size <= remaining:
+                    picked.append(job)
+                    remaining -= job.size
+                    if remaining <= 0:
+                        break
+            return picked
+        # (seq, size, job_id) of each fitting bucket's earliest job not
+        # yet picked; seqs are unique, so min() never compares past them.
+        heads = []
+        for size, bucket in buckets.items():
+            if size <= remaining:
+                for job_id, seq in bucket.items():
+                    heads.append((seq, size, job_id))
+                    break
+        cursors: dict[int, Iterator[tuple[int, int]]] = {}
+        while heads:
+            head = min(heads)
+            _, size, job_id = head
+            picked.append(jobs[job_id])
+            remaining -= size
+            if remaining <= 0:
+                break
+            heads = [h for h in heads if h[1] <= remaining and h is not head]
+            if size <= remaining:  # the picked bucket's next job is its head
+                cursor = cursors.get(size)
+                if cursor is None:
+                    cursor = cursors[size] = iter(buckets[size].items())
+                    next(cursor)
+                for job_id, seq in cursor:
+                    heads.append((seq, size, job_id))
+                    break
+        return picked
 
     # ------------------------------------------------------------------ #
     # policy aggregates (§3.2.2.1)
@@ -101,8 +165,8 @@ class JobQueue:
     def smallest_demand(self) -> int:
         """Width of the narrowest queued job (0 when empty).
 
-        O(distinct sizes), not O(jobs): dispatch uses it to prove that a
-        backlogged scan cannot start anything (``idle < smallest``)
-        without walking the whole queue.
+        The minimum over the width buckets, O(distinct sizes) rather than
+        O(jobs): dispatch uses it to prove that a backlogged scan cannot
+        start anything (``idle < smallest``) without asking the scheduler.
         """
-        return min(self._size_counts, default=0)
+        return min(self._buckets, default=0)

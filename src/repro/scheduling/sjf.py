@@ -50,7 +50,7 @@ class SjfScheduler(Scheduler):
     ) -> list[Job]:
         if not queued or free_nodes <= 0:
             return []
-        queued = list(queued)  # positional access; servers pass a dict view
+        queued = list(queued)  # positional access; servers pass their JobQueue
 
         barrier_pos: Optional[int] = None
         if self.max_skip is not None:

@@ -115,6 +115,11 @@ class SimulationService:
                 "carry a fixed size (DawningCloud)"
             )
         self.machine_nodes = int(machine_nodes)
+        # Every serving op is event-granular (ingest, partial advances,
+        # snapshots), so a hybrid live run gives up its fluid option once,
+        # here: its boot trace goes onto the heap before anything else.
+        if hasattr(live, "_ensure_exact_mode"):
+            live._ensure_exact_mode()
         #: still-pending arrivals: job_id -> (job, arrival event)
         self._pending_map: dict[int, tuple[Job, object]] = {}
         self.ingested = 0
@@ -157,18 +162,6 @@ class SimulationService:
     # ------------------------------------------------------------------ #
     # ingest
     # ------------------------------------------------------------------ #
-    def _ensure_live_exact(self) -> None:
-        """Force the hosted run out of any still-deferred fluid mode.
-
-        A hybrid :class:`~repro.systems.fixed.FixedLiveRun` may hold its
-        boot trace columnar until first event-granular use; ingest,
-        partial advances and forks are all event-granular, so the trace
-        must be on the heap first (a no-op for the empty boot trace a
-        spec-built service starts from).
-        """
-        if hasattr(self.live, "_ensure_exact_mode"):
-            self.live._ensure_exact_mode()
-
     def _admit(self, job: Job) -> None:
         now = self.engine.now
         if job.submit_time < now:
@@ -192,7 +185,6 @@ class SimulationService:
     def submit(self, job: Job) -> None:
         """Admit one job; its arrival fires at ``job.submit_time``."""
         self._check_open()
-        self._ensure_live_exact()
         if len(self._pending_map) >= self.max_pending:
             self.rejected += 1
             raise BackPressureError(
@@ -215,7 +207,6 @@ class SimulationService:
         Returns the number of jobs admitted.
         """
         self._check_open()
-        self._ensure_live_exact()
         if isinstance(jobs, Trace):
             batch = list(jobs.jobs)
         elif isinstance(jobs, TraceArrays):
@@ -290,7 +281,6 @@ class SimulationService:
         """Execute everything up to and including ``time``; returns the
         number of events executed.  Resumable and monotonic."""
         self._check_open()
-        self._ensure_live_exact()
         if time < self.engine.now:
             raise ValueError(
                 f"cannot advance to t={time}; clock is already at "
@@ -315,15 +305,12 @@ class SimulationService:
     def snapshot(self) -> "EngineSnapshot":
         """Freeze the whole service world; each ``restore()`` is a branch.
 
-        Forces exact mode first (a hybrid live run may still hold its
-        boot trace columnar) so the snapshot is event-granular, then
-        pickles *the service* as the world root — counters,
+        Pickles *the service* as the world root — counters,
         pending-arrival map and metric cursors branch together with the
         engine.  Branches share the jobs already completed (see
         :mod:`repro.simkit.snapshot`).
         """
         self._check_open()
-        self._ensure_live_exact()
         from repro.simkit.snapshot import snapshot_world
 
         return snapshot_world(self, self.engine)
@@ -370,9 +357,10 @@ def build_service(spec: ServiceSpec, seed: int = 0) -> SimulationService:
     :func:`repro.api.run.build_live_system` — same component resolution
     as batch runs, but nothing executed yet; runners outside
     :data:`SERVED_RUNNERS` are refused before anything is built.  The
-    engine kernel is whatever the system spec says; serving operations
-    force exact mode on first event-granular use, and since the boot
-    trace is empty the fluid fast-path has nothing to win anyway.
+    engine kernel is whatever the system spec says; the service forces
+    exact mode at boot (every serving op is event-granular), and since
+    the boot trace is empty the fluid fast-path has nothing to win
+    anyway.
     """
     from repro.api.run import build_live_system
     from repro.systems.base import WorkloadBundle

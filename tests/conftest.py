@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scheduling.queue import JobQueue
 from repro.simkit.engine import SimulationEngine
 from repro.workloads.job import Job, Trace
 from repro.workloads.workflow import Workflow
@@ -32,6 +33,15 @@ def make_job(
         workflow_id=workflow_id,
         dependencies=deps,
     )
+
+
+def queue_of(jobs) -> JobQueue:
+    """A :class:`JobQueue` holding ``jobs`` in the given (arrival) order,
+    as a server hands it to ``Scheduler.select``."""
+    queue = JobQueue()
+    for job in jobs:
+        queue.push(job)
+    return queue
 
 
 def make_trace(

@@ -1,13 +1,18 @@
 """Tests for the runtime-environment server (queue + dispatch)."""
 
+import random
+
 import pytest
 
 from repro.core.servers import REServer
+from repro.reliability.failures import ExponentialFailures
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.firstfit import FirstFitScheduler
+from repro.systems.base import WorkloadBundle
+from repro.systems.fixed import FixedLiveRun
 from repro.workloads.job import JobState
 from repro.workloads.workflow import Workflow
-from tests.conftest import make_job
+from tests.conftest import make_job, make_trace
 
 
 def make_server(engine, nodes=8, scheduler=None, scan=60.0, name="tre"):
@@ -155,3 +160,44 @@ class TestStop:
         server.stop()
         server.submit_job(make_job(1))
         assert server.submitted_jobs == 0
+
+
+class TestCompletedBy:
+    """``completed_by`` bisects the completion log by finish time."""
+
+    @pytest.mark.parametrize("with_failures", [False, True])
+    def test_equals_the_linear_count(self, with_failures):
+        # whole-minute submits and runtimes on the one-minute scan grid:
+        # many completions share an instant
+        jobs = [
+            make_job(i, submit=60.0 * (i % 9), size=1 + i % 3,
+                     runtime=600.0 * (1 + i % 4))
+            for i in range(1, 120)
+        ]
+        bundle = WorkloadBundle.from_trace(
+            "t", make_trace(jobs, nodes=16, duration=8 * 3600.0)
+        )
+        failures = (
+            ExponentialFailures(mtbf_s=20 * 3600.0, mttr_s=600.0)
+            if with_failures else None
+        )
+        live = FixedLiveRun(bundle, "DCS", failures=failures, seed=2,
+                            kernel="off")
+        live.complete()
+        server = live.server
+        if with_failures:
+            assert server.fault.stats.requeues > 0
+        finishes = [job.finish_time for job in server.completed]
+        assert finishes == sorted(finishes)
+        assert len(set(finishes)) < len(finishes)  # ties of equal finishes
+
+        rng = random.Random(7)
+        horizons = [
+            0.0, finishes[0] - 1.0, finishes[-1], finishes[-1] + 1.0,
+            *finishes,
+            *(rng.uniform(0.0, 1.1 * finishes[-1]) for _ in range(200)),
+        ]
+        for horizon in horizons:
+            assert server.completed_by(horizon) == sum(
+                1 for job in server.completed if job.finish_time <= horizon
+            )

@@ -505,11 +505,11 @@ class TestServiceForkUnderHybridKernel:
     """PR 9 stress: the serving layer's forks against the fluid fast path.
 
     A hybrid run holds its boot trace columnar until first event-granular
-    use.  Wrapping such a run in a :class:`SimulationService` and forking
-    it must (a) force the deferred trace onto the heap first — a fork of
-    a half-deferred world would silently lose arrivals — and (b) leave
-    both the original and every branch byte-identical to the exact
-    engine's evolution.
+    use.  Every serving op is event-granular, so wrapping such a run in a
+    :class:`SimulationService` must (a) force the deferred trace onto the
+    heap at boot — a fork of a half-deferred world would silently lose
+    arrivals — and (b) leave both the original and every branch
+    byte-identical to the exact engine's evolution.
     """
 
     def test_service_fork_forces_exact_injection(self):
@@ -517,10 +517,10 @@ class TestServiceForkUnderHybridKernel:
 
         bundle = uncontended_bundle(n=400)
         hybrid = FixedLiveRun(bundle, "DCS", kernel="numpy")
-        service = SimulationService(hybrid)
         assert hybrid._deferred_trace is not None  # fluid option still open
-        branch = service.fork()
+        service = SimulationService(hybrid)
         assert hybrid._deferred_trace is None  # _ensure_exact_mode fired
+        branch = service.fork()
         assert branch.live._deferred_trace is None
         assert not hybrid.fluid_applied
 
@@ -535,11 +535,11 @@ class TestServiceForkUnderHybridKernel:
 
         bundle = uncontended_bundle(n=300)
         hybrid = FixedLiveRun(bundle, "DCS", kernel="numpy")
-        service = SimulationService(hybrid)
         assert hybrid._deferred_trace is not None
+        service = SimulationService(hybrid)
+        assert hybrid._deferred_trace is None  # ingest is event-granular
         extra = Job(10**6, 86400.0, 2, 900.0, 0, "htc")
         service.submit(extra)
-        assert hybrid._deferred_trace is None  # ingest is event-granular
 
         # the exact engine over trace + extra job agrees byte for byte
         exact = FixedLiveRun(bundle, "DCS", kernel="off")
@@ -561,7 +561,7 @@ class TestServiceForkUnderHybridKernel:
 
         hybrid = FixedLiveRun(bundle, "DCS", kernel="numpy")
         service = SimulationService(hybrid)
-        service.advance_to(2 * 86400.0)  # partial advance: exact mode forced
+        service.advance_to(2 * 86400.0)  # partial advance, exact since boot
         branch = service.fork()
         assert branch.now == service.now
         payload = service.shutdown(drain=True)

@@ -15,7 +15,7 @@ from repro.scheduling.firstfit import FirstFitScheduler
 from repro.workloads.job import hour_ceil
 from repro.workloads.swf import parse_swf, write_swf
 from repro.workloads.workflowgen import layered_random
-from tests.conftest import make_job, make_trace
+from tests.conftest import make_job, make_trace, queue_of
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -94,7 +94,7 @@ class TestLeaseProperties:
 class TestSchedulerProperties:
     @given(job_lists, st.integers(min_value=0, max_value=64))
     def test_firstfit_never_overcommits(self, jobs, free):
-        picked = FirstFitScheduler().select(0.0, jobs, free)
+        picked = FirstFitScheduler().select(0.0, queue_of(jobs), free)
         assert sum(j.size for j in picked) <= free
 
     @given(job_lists, st.integers(min_value=0, max_value=64))
@@ -105,13 +105,13 @@ class TestSchedulerProperties:
 
     @given(job_lists, st.integers(min_value=0, max_value=64))
     def test_fcfs_subset_of_firstfit(self, jobs, free):
-        ff = {j.job_id for j in FirstFitScheduler().select(0.0, jobs, free)}
+        ff = {j.job_id for j in FirstFitScheduler().select(0.0, queue_of(jobs), free)}
         fc = {j.job_id for j in FcfsScheduler().select(0.0, jobs, free)}
         assert fc <= ff
 
     @given(job_lists, st.integers(min_value=0, max_value=64))
     def test_firstfit_no_duplicates(self, jobs, free):
-        picked = FirstFitScheduler().select(0.0, jobs, free)
+        picked = FirstFitScheduler().select(0.0, queue_of(jobs), free)
         ids = [j.job_id for j in picked]
         assert len(ids) == len(set(ids))
 

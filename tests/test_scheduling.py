@@ -7,7 +7,7 @@ from repro.scheduling.base import RunningJob
 from repro.scheduling.fcfs import FcfsScheduler
 from repro.scheduling.firstfit import FirstFitScheduler
 from repro.scheduling.queue import JobQueue
-from tests.conftest import make_job
+from tests.conftest import make_job, queue_of
 
 
 class TestJobQueue:
@@ -58,25 +58,27 @@ class TestFirstFit:
     def test_skips_wide_head(self):
         """§4.4: picks the first job whose requirement can be met."""
         sched = FirstFitScheduler()
-        queued = [make_job(1, size=10), make_job(2, size=3)]
+        queued = queue_of([make_job(1, size=10), make_job(2, size=3)])
         picked = sched.select(0.0, queued, free_nodes=4)
         assert [j.job_id for j in picked] == [2]
 
     def test_greedy_packs_in_arrival_order(self):
         sched = FirstFitScheduler()
-        queued = [make_job(i, size=s) for i, s in ((1, 2), (2, 2), (3, 2))]
+        queued = queue_of(
+            [make_job(i, size=s) for i, s in ((1, 2), (2, 2), (3, 2))]
+        )
         picked = sched.select(0.0, queued, free_nodes=5)
         assert [j.job_id for j in picked] == [1, 2]
 
     def test_never_exceeds_free_nodes(self):
         sched = FirstFitScheduler()
-        queued = [make_job(i, size=3) for i in range(1, 10)]
+        queued = queue_of([make_job(i, size=3) for i in range(1, 10)])
         picked = sched.select(0.0, queued, free_nodes=7)
         assert sum(j.size for j in picked) <= 7
 
     def test_zero_free_nodes(self):
         sched = FirstFitScheduler()
-        assert sched.select(0.0, [make_job(1)], free_nodes=0) == []
+        assert sched.select(0.0, queue_of([make_job(1)]), free_nodes=0) == []
 
 
 class TestFcfs:
@@ -93,7 +95,7 @@ class TestFcfs:
 
     def test_equivalent_to_firstfit_for_unit_jobs(self):
         queued = [make_job(i, size=1) for i in range(1, 8)]
-        ff = FirstFitScheduler().select(0.0, queued, free_nodes=4)
+        ff = FirstFitScheduler().select(0.0, queue_of(queued), free_nodes=4)
         fc = FcfsScheduler().select(0.0, queued, free_nodes=4)
         assert [j.job_id for j in ff] == [j.job_id for j in fc]
 

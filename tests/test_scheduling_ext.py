@@ -15,8 +15,10 @@ from repro.scheduling.base import RunningJob
 from repro.scheduling.conservative import ConservativeBackfillScheduler
 from repro.scheduling.fairshare import WeightedFairShareScheduler
 from repro.scheduling.firstfit import FirstFitScheduler
+from repro.scheduling.queue import JobQueue
 from repro.scheduling.sjf import SjfScheduler
 from repro.workloads.job import Job
+from tests.conftest import queue_of
 
 
 def J(jid, size, runtime, user=0, submit=0.0):
@@ -37,7 +39,7 @@ class TestRegistry:
     def test_all_names_construct(self):
         for name in SCHEDULER_REGISTRY:
             sched = build_scheduler(name)
-            assert sched.select(0.0, [], 16) == []
+            assert sched.select(0.0, JobQueue(), 16) == []
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
@@ -197,9 +199,9 @@ job_lists = st.lists(
 @given(jobs=job_lists, free=st.integers(min_value=0, max_value=64))
 @pytest.mark.parametrize("name", sorted(SCHEDULER_REGISTRY))
 def test_scheduler_invariants(name, jobs, free):
-    queued = mark_queued([
+    queued = queue_of(mark_queued([
         J(i, size, runtime, user) for i, (size, runtime, user) in enumerate(jobs)
-    ])
+    ]))
     picked = build_scheduler(name).select(0.0, queued, free)
     # 1. no duplicates, all picks came from the queue
     ids = [j.job_id for j in picked]

@@ -551,6 +551,40 @@ class TestServeSession:
         assert results[5]["final"]["completed_jobs"] == 3
         assert session.finished
 
+    def test_hybrid_engine_service_matches_exact(self):
+        """A hybrid DCS service gives up the fluid tier at boot and then
+        answers a session exactly as the exact engine does."""
+        script = [
+            *self.script()[:-1],
+            '{"op": "what-if", "horizon_s": 3600.0, '
+            '"delta": {"load_multiplier": 2.0}}',
+            '{"op": "shutdown"}',
+        ]
+
+        def without_wall_clock(value):
+            if isinstance(value, dict):
+                return {
+                    k: without_wall_clock(v) for k, v in value.items()
+                    if k not in ("fork_wall_s", "duration_s")
+                }
+            if isinstance(value, list):
+                return [without_wall_clock(v) for v in value]
+            return value
+
+        hybrid = build_service(dcs_spec(system={
+            "runner": "dcs",
+            "engine": {"name": "hybrid", "params": {"kernel": "numpy"}},
+        }))
+        assert hybrid.live._kernel is not None
+        assert hybrid.live._deferred_trace is None  # exact from boot
+        exact = build_service(dcs_spec())
+        results = [
+            without_wall_clock(ServeSession(service).run_script(script))
+            for service in (hybrid, exact)
+        ]
+        assert [r["ok"] for r in results[0]] == [True] * 7
+        assert results[0] == results[1]
+
     def test_errors_are_data_not_exceptions(self):
         session = ServeSession(build_service(dcs_spec()))
         results = session.run_script([
