@@ -55,7 +55,7 @@ from repro.scheduling.queue import JobQueue
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.events import Event
 from repro.simkit.timers import PeriodicTimer
-from repro.workloads.job import Job
+from repro.workloads.job import CompletionLog, Job
 from repro.workloads.workflow import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - reliability is an optional layer
@@ -132,7 +132,7 @@ class REServer:
         #: completion log, appended at ``engine.now`` by ``_finish`` (and in
         #: finish order by the fluid tier's replay), so it is in
         #: non-decreasing ``finish_time`` order: ``completed_by`` bisects it
-        self.completed: list[Job] = []
+        self.completed = CompletionLog()
         self._workflows: list[Workflow] = []
         self._wf_of_task: dict[int, Workflow] = {}
         #: called at every scan, before dispatch (resize hook); a truthy

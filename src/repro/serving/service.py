@@ -307,8 +307,10 @@ class SimulationService:
 
         Pickles *the service* as the world root — counters,
         pending-arrival map and metric cursors branch together with the
-        engine.  Branches share the jobs already completed (see
-        :mod:`repro.simkit.snapshot`).
+        engine.  Branches share the jobs already completed, and each
+        restore starts a fresh completion log of them instead of
+        unpickling the log job by job (see :mod:`repro.simkit.snapshot`),
+        so a snapshot costs the open state, not the session's history.
         """
         self._check_open()
         from repro.simkit.snapshot import snapshot_world

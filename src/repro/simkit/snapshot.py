@@ -21,18 +21,40 @@ with the world) rather than closures or lambdas.  Pickle refuses those
 wherever they sit in the world, on the heap or in any attribute, and
 :func:`snapshot_world` reports the refusal as :class:`SnapshotAliasError`.
 
-Shared completed jobs
----------------------
-A :class:`~repro.workloads.job.Job` that is COMPLETED at the snapshot
-instant is not pickled: the pickler emits it as a persistent id (an index
-into the snapshot's list of such jobs, one entry per object however often
-the world reaches it), and every restore hands back the very same object.
-A long-lived world's history is therefore never copied, and a snapshot's
-cost is the size of its *open* state.  This is safe because COMPLETED is
-terminal: ``mark_queued``, ``mark_running``, ``mark_completed`` and
-``mark_requeued`` all refuse a completed job, and nothing else writes a
-job's fields, so the original run and every branch read the same frozen
-``(state, start_time, finish_time)``.
+Jobs and completion logs
+------------------------
+The pickler's ``reducer_override`` hook sees every object outside
+pickle's fast paths (not ints, floats, strings, or objects already
+written) and writes three kinds of them its own way:
+
+* a :class:`~repro.workloads.job.Job` that is COMPLETED at the snapshot
+  instant is not pickled: it is written as an index into the snapshot's
+  list of such jobs, and every restore hands back the very same object;
+* any other job is written as one call over its fields
+  (:func:`~repro.workloads.job.job_fields` and
+  :func:`~repro.workloads.job.job_from_fields`), not as a state dict;
+* a :class:`~repro.workloads.job.CompletionLog` is written as an index
+  into the snapshot's tuple copies of the logs, and every restore builds
+  a fresh log from its tuple.
+
+Pickle memoizes what the hook reduces, so an object the world reaches
+twice (a job in a queue and in a workflow) is written once and restores
+as one object.  A long-lived world's history is therefore never copied,
+and a snapshot's cost is the size of its *open* state.  Sharing is safe
+because COMPLETED is terminal: ``mark_queued``, ``mark_running``,
+``mark_completed`` and ``mark_requeued`` all refuse a completed job, and
+nothing else writes a job's fields, so the original run and every branch
+read the same frozen ``(state, start_time, finish_time)``.  A log only
+grows by such jobs, and its tuple is copied at snapshot time, so entries
+the live run or a branch appends later never reach a restore.
+
+The shared jobs and log tuples live beside the bytes, not in them: the
+bytes name module-level stand-ins that the restore's ``find_class``
+resolves to the snapshot's lists, and that refuse a plain
+:func:`pickle.loads`.  ``find_class`` returns callables over those lists,
+never methods of the unpickler: the unpickler's memo keeps them, and a
+method would tie every restored object into a reference cycle that only
+a cyclic collection frees.
 
 Two pieces of process-global state survive on purpose:
 
@@ -48,65 +70,125 @@ from __future__ import annotations
 
 import io
 import pickle
+from functools import partial
 from typing import Any, Optional
 
 from repro.simkit.engine import SimulationEngine
-from repro.workloads.job import Job, JobState
+from repro.workloads.job import (
+    CompletionLog,
+    Job,
+    JobState,
+    job_fields,
+    job_from_fields,
+)
 
 
 class SnapshotAliasError(RuntimeError):
     """The world holds an object a snapshot cannot carry (a closure, ...)."""
 
 
+_PLAIN_LOAD = (
+    "these are EngineSnapshot bytes: the completed jobs and completion logs "
+    "they refer to are kept beside them, so restore them through "
+    "EngineSnapshot.restore(), not pickle.loads"
+)
+
+
+# What the bytes call for a shared COMPLETED job and for a completion log,
+# each with an index; a restore resolves both names to its own lists.
+def _shared_job(index: int) -> Job:
+    raise pickle.UnpicklingError(_PLAIN_LOAD)
+
+
+def _completion_log(index: int) -> CompletionLog:
+    raise pickle.UnpicklingError(_PLAIN_LOAD)
+
+
+def _fresh_log(logs: list[tuple[Job, ...]], index: int) -> CompletionLog:
+    return CompletionLog(logs[index])
+
+
 class _WorldPickler(pickle.Pickler):
-    """Pickles a world, passing its COMPLETED jobs by reference."""
+    """Pickles a world: COMPLETED jobs and completion logs by reference,
+    every other job as its fields."""
 
     def __init__(self, file: io.BytesIO) -> None:
         super().__init__(file, protocol=5)
-        #: the completed jobs, in persistent-id order
+        #: the shared COMPLETED jobs, in reference order
         self.shared: list[Job] = []
-        self._index: dict[int, int] = {}
+        #: one tuple copy per completion log, in reference order
+        self.logs: list[tuple[Job, ...]] = []
 
-    def persistent_id(self, obj: Any) -> Optional[int]:
-        if type(obj) is Job and obj.state is JobState.COMPLETED:
-            index = self._index.get(id(obj))
-            if index is None:
-                index = self._index[id(obj)] = len(self.shared)
+    def reducer_override(self, obj: Any) -> Any:
+        cls = type(obj)
+        if cls is Job:
+            if obj.state is JobState.COMPLETED:
                 self.shared.append(obj)
-            return index
-        return None
+                return _shared_job, (len(self.shared) - 1,)
+            return job_from_fields, job_fields(obj)
+        if cls is CompletionLog:
+            self.logs.append(tuple(obj))
+            return _completion_log, (len(self.logs) - 1,)
+        return NotImplemented
+
+
+class _WorldUnpickler(pickle.Unpickler):
+    """Loads snapshot bytes against the snapshot's shared jobs and logs."""
+
+    def __init__(
+        self, data: bytes, shared: list[Job], logs: list[tuple[Job, ...]]
+    ) -> None:
+        super().__init__(io.BytesIO(data))
+        # bound to the lists, not to self (see the module docstring)
+        self._resolved = {
+            "_shared_job": shared.__getitem__,
+            "_completion_log": partial(_fresh_log, logs),
+        }
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name in self._resolved:
+            return self._resolved[name]
+        return super().find_class(module, name)
 
 
 class EngineSnapshot:
     """A simulation world frozen at one instant, as pickle bytes.
 
-    Bytes are immutable and the shared jobs are COMPLETED (terminal), so
-    neither the original run nor any branch can change what a later
-    :meth:`restore` returns; each builds a fresh world from the bytes.
+    Bytes are immutable, the shared jobs are COMPLETED (terminal) and the
+    log tuples are copies, so neither the original run nor any branch can
+    change what a later :meth:`restore` returns; each builds a fresh world
+    from the bytes.
     """
 
-    __slots__ = ("_data", "_shared", "time", "label")
+    __slots__ = ("_data", "_shared", "_logs", "time", "label")
 
     def __init__(
-        self, data: bytes, shared: list[Job], time: float, label: str = ""
+        self,
+        data: bytes,
+        shared: list[Job],
+        logs: list[tuple[Job, ...]],
+        time: float,
+        label: str = "",
     ) -> None:
         self._data = data
         self._shared = shared
+        self._logs = logs
         self.time = time
         self.label = label
 
     def restore(self) -> Any:
         """A fresh copy of the world, ready to continue; the jobs that
-        were COMPLETED at the snapshot instant are shared, not copied."""
-        unpickler = pickle.Unpickler(io.BytesIO(self._data))
-        unpickler.persistent_load = self._shared.__getitem__
-        return unpickler.load()
+        were COMPLETED at the snapshot instant are shared, not copied, and
+        each completion log is a fresh log of the same jobs."""
+        return _WorldUnpickler(self._data, self._shared, self._logs).load()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" {self.label!r}" if self.label else ""
+        entries = sum(len(log) for log in self._logs)
         return (
             f"<EngineSnapshot{tag} t={self.time:.3f} {len(self._data)} B "
-            f"shared_jobs={len(self._shared)}>"
+            f"shared_jobs={len(self._shared)} logs={len(self._logs)} "
+            f"log_entries={entries}>"
         )
 
 
@@ -135,7 +217,9 @@ def snapshot_world(
             f"method or functools.partial) so branches do not alias the "
             f"original run"
         ) from exc
-    return EngineSnapshot(buffer.getvalue(), pickler.shared, engine.now, label)
+    return EngineSnapshot(
+        buffer.getvalue(), pickler.shared, pickler.logs, engine.now, label
+    )
 
 
 def fork_world(world: Any, engine: Optional[SimulationEngine] = None) -> Any:

@@ -37,7 +37,7 @@ from repro.provisioning.policies import PerJobLease, PooledLease
 from repro.simkit.engine import SimulationEngine
 from repro.systems.base import LiveRun, WorkloadBundle, run_until
 from repro.systems.emulator import JobEmulator
-from repro.workloads.job import Job
+from repro.workloads.job import CompletionLog, Job
 from repro.workloads.workflow import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - reliability is an optional layer
@@ -74,7 +74,7 @@ class _DrpHtcRun:
         self.provision = ResourceProvisionService(capacity, meter=meter)
         self.usage = UsageRecorder(name)
         self.leasing = PerJobLease(engine, self.provision, name, self.usage)
-        self.completed: list[Job] = []
+        self.completed = CompletionLog()
         self.submitted = 0
         self.failures = failures
         self.stats = None
@@ -163,7 +163,7 @@ class _DrpMtcUserPool:
         self.provision = ResourceProvisionService(capacity, meter=meter)
         self.usage = UsageRecorder(name)
         self.pool = PooledLease(engine, self.provision, name, self.usage)
-        self.completed: list[Job] = []
+        self.completed = CompletionLog()
         self.submitted = 0
         self.workflow: Optional[Workflow] = None
 
@@ -357,7 +357,7 @@ class _DrpPooledHtcRun:
         self.provision = ResourceProvisionService(capacity, meter=meter)
         self.usage = UsageRecorder(name)
         self.pool = PooledLease(engine, self.provision, name, self.usage)
-        self.completed: list[Job] = []
+        self.completed = CompletionLog()
         self.submitted = 0
 
     def _key(self, job: Job) -> tuple[int, int]:

@@ -150,6 +150,63 @@ class Job:
         self.start_time = None
 
 
+def job_fields(job: Job) -> tuple:
+    """A job's fields in declaration order: the argument tuple of
+    :func:`job_from_fields`, which is how world snapshots write an open
+    job (:mod:`repro.simkit.snapshot`)."""
+    return (
+        job.job_id, job.submit_time, job.size, job.runtime, job.user_id,
+        job.task_type, job.workflow_id, job.dependencies,
+        job.state, job.start_time, job.finish_time,
+    )
+
+
+def job_from_fields(
+    job_id: int,
+    submit_time: float,
+    size: int,
+    runtime: float,
+    user_id: int,
+    task_type: str,
+    workflow_id: Optional[int],
+    dependencies: tuple[int, ...],
+    state: JobState,
+    start_time: Optional[float],
+    finish_time: Optional[float],
+) -> Job:
+    """The job :func:`job_fields` describes, execution state included.
+
+    Skips the dataclass constructor and its validation: the fields come
+    from a job that already passed it.
+    """
+    job = Job.__new__(Job)
+    job.job_id = job_id
+    job.submit_time = submit_time
+    job.size = size
+    job.runtime = runtime
+    job.user_id = user_id
+    job.task_type = task_type
+    job.workflow_id = workflow_id
+    job.dependencies = dependencies
+    job.state = state
+    job.start_time = start_time
+    job.finish_time = finish_time
+    return job
+
+
+class CompletionLog(list):
+    """A system's completed jobs, in completion order.
+
+    Each entry is appended right after its ``mark_completed``, and
+    COMPLETED is terminal, so a log only ever grows by frozen jobs.  World
+    snapshots rely on that: they carry a log as a reference to a tuple
+    copy of its entries instead of pickling them job by job, and every
+    restore starts a fresh log from that tuple.
+    """
+
+    __slots__ = ()
+
+
 class TraceArrays:
     """Columnar (structure-of-arrays) storage for a trace's immutable facts.
 

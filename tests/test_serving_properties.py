@@ -38,6 +38,7 @@ from repro.metrics.rolling import (
     window_start,
 )
 from repro.serving import ScenarioDelta, WhatIfEngine, build_service
+from repro.serving.service import SERVED_RUNNERS
 from repro.serving.whatif import apply_delta
 from repro.api.spec import ServiceSpec
 from repro.workloads.job import Job
@@ -48,9 +49,9 @@ DAY = 86400.0
 HOUR = 3600.0
 
 
-def _spec(nodes: int = 8) -> ServiceSpec:
+def _spec(nodes: int = 8, system: str = "dcs") -> ServiceSpec:
     return ServiceSpec.from_dict(
-        {"name": "prop", "system": "dcs", "machine_nodes": nodes,
+        {"name": "prop", "system": system, "machine_nodes": nodes,
          "horizon_s": DAY}
     )
 
@@ -139,6 +140,7 @@ def _deepcopy_what_if(service, delta: dict, horizon_s: float) -> tuple:
 
 
 class TestSnapshotOracle:
+    @pytest.mark.parametrize("system", SERVED_RUNNERS)
     @pytest.mark.parametrize("delta", [{}, {"load_multiplier": 1.5}],
                              ids=["empty", "load-1.5"])
     @given(
@@ -148,7 +150,7 @@ class TestSnapshotOracle:
     )
     @settings(max_examples=20, deadline=None)
     def test_whatif_equals_two_deepcopy_forks(self, specs, pick, into,
-                                              delta):
+                                              delta, system):
         # a session: each hour, ingest that hour's arrivals and advance.
         # The what-if comes part way into the hour of a picked job,
         # before that job arrives, so the load delta has jobs to clone.
@@ -156,7 +158,7 @@ class TestSnapshotOracle:
         due = jobs[pick % len(jobs)].submit_time
         hour_start = due // HOUR * HOUR
         at = hour_start + into * (due - hour_start)
-        service = build_service(_spec())
+        service = build_service(_spec(system=system))
         for hour in range(int(hour_start // HOUR) + 1):
             service.submit_batch(
                 [j for j in jobs if hour * HOUR <= j.submit_time
