@@ -205,12 +205,20 @@ class REServer:
     ) -> FaultToleranceState:
         """Switch on kill/requeue (and optionally checkpoint-restart).
 
-        Called once by the failure injector before the run starts; from
-        here on job completions carry cancellable events so a node
-        failure can preempt them.
+        Called once by the failure injector; from here on job completions
+        carry cancellable events so a node failure can preempt them.  Jobs
+        already running (a failure model attached mid-run, as a what-if
+        does) started on the no-failure path, which keeps no handle on
+        their finish events: one scan of the heap adopts them.
         """
         if self._fault is None:
-            self._fault = FaultToleranceState(checkpoint, stats)
+            fault = self._fault = FaultToleranceState(checkpoint, stats)
+            if self.running:
+                finish = self._finish
+                for entry in self.engine._heap:
+                    event = entry[3]
+                    if event.fn == finish:
+                        fault.finish_events[event.args[0].job_id] = event
         return self._fault
 
     def fail_nodes(self, n: int) -> None:
@@ -435,9 +443,17 @@ class REServer:
     # teardown / metrics
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
-        """Stop scanning and ignore further events (TRE destroyed)."""
+        """Stop scanning and ignore further events (TRE destroyed).
+
+        Also drops every registered hook: hooks are bound methods of the
+        components that hold this server (the resize policy, the cloud),
+        so keeping them would tie a finished world into reference cycles.
+        """
         self._stopped = True
         self._scan_timer.stop()
+        self.pre_dispatch_hooks.clear()
+        self.on_workflow_complete.clear()
+        self.idle_increase_hooks.clear()
         if self._owned:
             self.usage.record(self.engine.now, -self._owned)
             self._owned = 0

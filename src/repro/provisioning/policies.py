@@ -442,13 +442,20 @@ class ConsolidatedAllocation(ProvisioningPolicy):
 
     # -------------------------------------------------------------- #
     def shutdown(self) -> None:
-        """TRE destruction: stop timers, return every lease (§2.2 step 8)."""
+        """TRE destruction: stop timers, return every lease (§2.2 step 8).
+
+        Also unregisters from the provision service, whose hook list would
+        otherwise keep this allocation (and its server) alive in a cycle.
+        """
         for timer in self._release_timers.values():
             timer.stop()
         self._release_timers.clear()
         self._release_leases.clear()
         self._releases_suspended = False
         self.provision.shutdown_client(self.server.name, self.engine.now)
+        hooks = self.provision.on_lease_shrink
+        if self._on_lease_shrink in hooks:  # a second shutdown is a no-op
+            hooks.remove(self._on_lease_shrink)
         self.server.stop()
 
     def teardown(self) -> None:

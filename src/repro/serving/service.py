@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.api.spec import ServiceSpec
-from repro.workloads.job import Job, Trace, TraceArrays
+from repro.workloads.job import CompletionLog, Job, Trace, TraceArrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkit.snapshot import EngineSnapshot
@@ -128,11 +128,13 @@ class SimulationService:
         self._clone_seq = 0
         self._closed = False
         # rolling-metrics cursor over the server's completion log
-        # (extended incrementally; see repro.serving.metrics)
+        # (extended incrementally; see repro.serving.metrics); the
+        # per-completion entries are append-only and immutable, so
+        # snapshots carry them by reference like the log itself
         self._metrics_cursor = 0
-        self._finish_times: list[float] = []
-        self._work_done: list[float] = []
-        self._slo_ok: list[bool] = []
+        self._finish_times = CompletionLog()  # floats
+        self._work_done = CompletionLog()  # floats
+        self._slo_ok = CompletionLog()  # bools
 
     # ------------------------------------------------------------------ #
     @property
@@ -329,6 +331,7 @@ class SimulationService:
         ``drain=False`` stops the world at the current instant (the
         horizon clamps to *now*, so billing, completions and peaks all
         cut at the same time, and pending arrivals are discarded).
+        Either way the engine is disposed once the payload is priced.
         """
         self._check_open()
         if drain:
@@ -339,7 +342,12 @@ class SimulationService:
                 self.cancel_pending(job_id)
             self.live.complete()
         self._closed = True
-        return self.live.finish().to_payload()
+        payload = self.live.finish().to_payload()
+        # the finished world frees itself by reference counting (see
+        # SimulationEngine.dispose): arrivals still pending past the
+        # horizon no longer tie the service to its engine
+        self.engine.dispose()
+        return payload
 
     def _check_open(self) -> None:
         if self._closed:

@@ -44,6 +44,7 @@ replays from the same instant.  Permanent failures surface as
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
@@ -359,10 +360,12 @@ class WhatIfEngine:
                 partial(self._answer, query), name=name, retry=self.retry
             )
             if not outcome.ok:
+                error = outcome.error or {}
                 raise WhatIfError(
                     f"what-if query {name!r} failed after "
                     f"{outcome.attempts} attempt(s): "
-                    f"{(outcome.error or {}).get('message', 'unknown')}",
+                    f"{error.get('type', 'Error')}: "
+                    f"{error.get('message', 'unknown')}",
                     error=outcome.error,
                 )
             result = outcome.result
@@ -381,7 +384,24 @@ class WhatIfEngine:
 
     def _answer(self, query: WhatIfQuery) -> WhatIfResult:
         """One supervised query body: snapshot once, restore two
-        branches, apply the delta to one, run both."""
+        branches, apply the delta to one, run both.
+
+        Runs with the cyclic collector paused: both branches are freed
+        by reference counting once run (see :func:`_run_continuation`),
+        so a collection here would only trace the live world's objects
+        again.  The collector's state is restored as it was found, even
+        when the query raises; a collector the caller disabled stays off.
+        The pause is process-wide, so other threads see it too.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._answer_paused(query)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _answer_paused(self, query: WhatIfQuery) -> WhatIfResult:
         service = self.service
         at = service.now
         t_end = at + query.horizon_s
@@ -416,6 +436,8 @@ def _run_continuation(branch, t_end: float) -> dict:
     The branch's horizon is *retargeted* to the query horizon so
     billing, completions and peaks all cut at the same instant —
     exactly the clamp the batch runners apply at their own horizon.
+    The shutdown disposes the branch's engine, so the branch is freed
+    by reference counting as soon as the caller drops it.
     """
     branch.live.horizon = float(t_end)
     payload = branch.shutdown(drain=True)

@@ -13,12 +13,11 @@ which keeps runs deterministic and easy to test.
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.events import Event, EventCancelled
 from repro.simkit.rng import RandomStreams
-from repro.simkit.timers import OneShotTimer, PeriodicTimer
+from repro.simkit.timers import PeriodicTimer
 
 __all__ = [
     "Event",
     "EventCancelled",
-    "OneShotTimer",
     "PeriodicTimer",
     "RandomStreams",
     "SimulationEngine",

@@ -18,6 +18,11 @@ Design notes
   :meth:`run`, and it is resumable: calling :meth:`run` again continues from
   where the previous call stopped.
 * There is no wall-clock coupling anywhere; time is just a float in seconds.
+* A finished world is freed by :meth:`dispose`: pending events are the
+  edges that tie a world's components into reference cycles (an event
+  holds a bound method of its owner, and owners keep handles on their
+  pending events), so dropping their callables lets the world die by
+  reference counting instead of waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ class SimulationEngine:
         self._compact_min_heap = int(compact_min_heap)
         self._compact_slack_ratio = float(compact_slack_ratio)
         self.compactions = 0
+        self._disposed = False
 
     # ------------------------------------------------------------------ #
     # clock
@@ -210,6 +216,8 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Execute the next live event. Returns False if none remain."""
+        if self._disposed:
+            raise self._disposed_error()
         self._drop_cancelled()
         if not self._heap:
             return False
@@ -234,6 +242,8 @@ class SimulationEngine:
         which is what makes mid-run snapshots byte-identical to cold runs.
         Returns the number of events executed.
         """
+        if self._disposed:
+            raise self._disposed_error()
         n = 0
         while True:
             next_time = self.peek_time()
@@ -253,6 +263,8 @@ class SimulationEngine:
         in ``run(until=time)``, so skipping them would diverge) — and the
         engine must be outside :meth:`run`.
         """
+        if self._disposed:
+            raise self._disposed_error()
         if self._running:
             raise SimulationError("cannot fast-forward while running")
         time = float(time)
@@ -275,6 +287,8 @@ class SimulationEngine:
         Events scheduled exactly at ``until`` are executed.  Returns the
         final clock value (``until`` if a horizon was given and reached).
         """
+        if self._disposed:
+            raise self._disposed_error()
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -320,6 +334,39 @@ class SimulationEngine:
         if until is not None and self._now < until:
             self._now = float(until)
         return self._now
+
+    # ------------------------------------------------------------------ #
+    # teardown
+    # ------------------------------------------------------------------ #
+    def dispose(self) -> None:
+        """Free a finished world: drop every pending event's callable.
+
+        Pending events are the edges that close a world's reference
+        cycles: each holds a bound method (or arguments) of the component
+        that scheduled it, and the components keep handles on their own
+        pending events (arrival maps, finish-event tables).  Detaching the
+        callable and arguments of every event still on the heap, cancelled
+        or not, and dropping the heap breaks those cycles wherever the
+        event objects sit, so once the world's teardown methods have
+        dropped their own callbacks the whole world is freed by reference
+        counting.  Afterwards :meth:`run`, :meth:`step`,
+        :meth:`advance_before`, :meth:`fast_forward` and world snapshots
+        refuse the engine; scheduling is not checked (it is the per-event
+        path), the world's owner refuses it instead.  Idempotent.
+        """
+        for entry in self._heap:
+            event = entry[3]
+            event.fn = None
+            event.args = ()
+        self._heap = []
+        self._cancelled_pending = 0
+        self._disposed = True
+
+    def _disposed_error(self) -> SimulationError:
+        return SimulationError(
+            f"the engine was disposed at t={self._now}: its world has "
+            f"finished and its pending events were dropped"
+        )
 
     # ------------------------------------------------------------------ #
     # internals

@@ -32,7 +32,8 @@ class Event:
     seq:
         Monotonically increasing scheduling sequence number (final tie-break).
     fn:
-        The callback. Called as ``fn(*args)``.
+        The callback. Called as ``fn(*args)``; ``None`` once the engine
+        was disposed (:meth:`~repro.simkit.engine.SimulationEngine.dispose`).
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "_cancelled")

@@ -33,7 +33,8 @@ written) and writes three kinds of them its own way:
 * any other job is written as one call over its fields
   (:func:`~repro.workloads.job.job_fields` and
   :func:`~repro.workloads.job.job_from_fields`), not as a state dict;
-* a :class:`~repro.workloads.job.CompletionLog` is written as an index
+* a :class:`~repro.workloads.job.CompletionLog` (a system's completed
+  jobs, or a service's per-completion metrics) is written as an index
   into the snapshot's tuple copies of the logs, and every restore builds
   a fresh log from its tuple.
 
@@ -45,8 +46,9 @@ because COMPLETED is terminal: ``mark_queued``, ``mark_running``,
 ``mark_completed`` and ``mark_requeued`` all refuse a completed job, and
 nothing else writes a job's fields, so the original run and every branch
 read the same frozen ``(state, start_time, finish_time)``.  A log only
-grows by such jobs, and its tuple is copied at snapshot time, so entries
-the live run or a branch appends later never reach a restore.
+grows by entries that never change again (such jobs, floats, bools), and
+its tuple is copied at snapshot time, so entries the live run or a branch
+appends later never reach a restore.
 
 The shared jobs and log tuples live beside the bytes, not in them: the
 bytes name module-level stand-ins that the restore's ``find_class``
@@ -201,6 +203,8 @@ def snapshot_world(
     ``engine`` argument — is the simulation engine the world runs on)."""
     if engine is None:
         engine = world.engine
+    if engine._disposed:
+        raise engine._disposed_error()
     if engine._running:
         raise RuntimeError(
             "cannot fork while the engine is running; fork between "

@@ -1,12 +1,9 @@
 """Timers built on the simulation engine.
 
-Two small helpers wrap the raw engine API:
-
-* :class:`PeriodicTimer` — the paper's scan loops ("the HTC server scans jobs
-  in queue per minute", "a MTC server scans jobs in queue per three seconds")
-  and the hourly idle-resource checks registered after each dynamic request.
-* :class:`OneShotTimer` — a cancellable single callback, used for TRE
-  lifecycle steps and workload injection.
+:class:`PeriodicTimer` wraps the raw engine API for the paper's scan loops
+("the HTC server scans jobs in queue per minute", "a MTC server scans jobs
+in queue per three seconds") and the hourly idle-resource checks registered
+after each dynamic request.
 
 Periodic ticks live on a fixed grid: the n-th firing happens at exactly
 ``epoch + n*interval`` (``epoch`` = the clock at :meth:`PeriodicTimer.start`)
@@ -25,37 +22,6 @@ from typing import Any, Callable, Optional
 
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.events import Event
-
-
-class OneShotTimer:
-    """A single cancellable callback ``delay`` seconds in the future."""
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-    ) -> None:
-        self._engine = engine
-        self._event: Optional[Event] = engine.schedule(delay, self._fire)
-        self._fn = fn
-        self._args = args
-        self.fired = False
-
-    def _fire(self) -> None:
-        self._event = None
-        self.fired = True
-        self._fn(*self._args)
-
-    @property
-    def active(self) -> bool:
-        return self._event is not None and not self._event.cancelled
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._engine.cancel(self._event)
-            self._event = None
 
 
 class PeriodicTimer:
@@ -118,6 +84,11 @@ class PeriodicTimer:
         # restarting it would interleave two tick streams.
         if self._started:
             raise RuntimeError("timer already started")
+        if self._fn is None:
+            raise RuntimeError(
+                "timer was stopped: stop() dropped its callback, so it "
+                "cannot start again (build a new timer)"
+            )
         self._started = True
         self._suspended = False
         self._epoch = self._engine.now
@@ -126,8 +97,16 @@ class PeriodicTimer:
         return self
 
     def stop(self) -> None:
+        """Stop for good: cancel the armed tick and drop the callback.
+
+        The callback is usually a bound method of the timer's owner, which
+        in turn holds the timer; dropping it breaks that reference cycle,
+        so a stopped timer cannot :meth:`start` again.
+        """
         self._started = False
         self._suspended = False
+        self._fn = None
+        self._args = ()
         if self._event is not None:
             self._engine.cancel(self._event)
             self._event = None

@@ -195,13 +195,15 @@ def job_from_fields(
 
 
 class CompletionLog(list):
-    """A system's completed jobs, in completion order.
+    """Per-completion entries, in completion order, frozen once appended.
 
-    Each entry is appended right after its ``mark_completed``, and
-    COMPLETED is terminal, so a log only ever grows by frozen jobs.  World
-    snapshots rely on that: they carry a log as a reference to a tuple
-    copy of its entries instead of pickling them job by job, and every
-    restore starts a fresh log from that tuple.
+    A system's completed jobs (each appended right after its
+    ``mark_completed``; COMPLETED is terminal) or a service's
+    per-completion metrics (floats and bools): a log only ever grows by
+    entries that never change again.  World snapshots rely on that: they
+    carry a log as a reference to a tuple copy of its entries instead of
+    pickling them one by one, and every restore starts a fresh log from
+    that tuple.
     """
 
     __slots__ = ()

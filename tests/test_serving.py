@@ -34,6 +34,7 @@ from repro.serving import (
     WhatIfError,
     build_service,
 )
+from repro.serving.service import SERVED_RUNNERS
 from repro.systems.base import WorkloadBundle
 from repro.systems.fixed import FixedLiveRun
 from repro.workloads.job import Job, Trace
@@ -386,6 +387,34 @@ class TestWhatIf:
     def test_billing_delta_on_dcs_fails(self):
         service = build_service(dcs_spec())
         with pytest.raises(WhatIfError, match="owned, not metered"):
+            WhatIfEngine(service).what_if({"billing": "per-second"}, 3600.0)
+
+    @pytest.mark.parametrize("runner", SERVED_RUNNERS)
+    def test_mtbf_delta_kills_jobs_running_at_the_fork(self, runner):
+        """Jobs started before the fork took the no-failure path, which
+        keeps no handle on their finish events; the failure model the
+        delta attaches must still kill them, and each finishes once."""
+        system = {"runner": runner}
+        if runner == "dawningcloud":
+            system["policy"] = {"name": "paper-htc",
+                                "params": {"initial_nodes": 8}}
+        service = build_service(dcs_spec(system=system))
+        service.submit_batch(make_jobs(4, start=60.0, gap=0.0, runtime=1200.0))
+        service.advance_to(300.0)
+        # every job of the world started before the fork
+        assert len(service.server.running) == 4
+        assert service.pending_arrivals == 0 and not service.server.queue
+        result = WhatIfEngine(service).what_if({"mtbf_hours": 0.5}, DAY)
+        assert result.scenario["reliability"]["killed_jobs"] >= 1
+        assert result.scenario["completed_jobs"] == 4
+        assert result.baseline["completed_jobs"] == 4
+
+    def test_a_failed_query_names_the_cause_type(self):
+        service = build_service(dcs_spec())
+        with pytest.raises(
+            WhatIfError,
+            match=r"failed after 1 attempt\(s\): WhatIfError: billing",
+        ):
             WhatIfEngine(service).what_if({"billing": "per-second"}, 3600.0)
 
     def test_mtbf_delta_refused_when_model_armed(self):

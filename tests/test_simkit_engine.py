@@ -331,3 +331,40 @@ class TestFastForward:
             engine.schedule_at(50.0, lambda: None)
         event = engine.schedule(10.0, lambda: None)
         assert event.time == 110.0
+
+
+class TestDispose:
+    """A finished world's engine drops its pending events' callables and
+    refuses further work."""
+
+    def test_detaches_every_pending_event(self, engine):
+        owner = []
+        live = engine.schedule_at(5.0, owner.append, "live")
+        dead = engine.schedule_at(6.0, owner.append, "dead")
+        engine.cancel(dead)
+        engine.dispose()
+        assert engine.pending_events == 0
+        for event in (live, dead):
+            assert event.fn is None and event.args == ()
+        assert owner == []
+
+    @pytest.mark.parametrize(
+        "call", ["run", "step", "advance_before", "fast_forward",
+                 "snapshot_world"],
+    )
+    def test_refuses_work_naming_the_disposal(self, engine, call):
+        from repro.simkit.snapshot import snapshot_world
+
+        engine.schedule_at(5.0, lambda: None)
+        engine.run(until=2.0)
+        engine.dispose()
+        ops = {
+            "run": lambda: engine.run(until=10.0),
+            "step": engine.step,
+            "advance_before": lambda: engine.advance_before(10.0),
+            "fast_forward": lambda: engine.fast_forward(10.0),
+            "snapshot_world": lambda: snapshot_world(engine, engine),
+        }
+        with pytest.raises(SimulationError, match="disposed at t=2.0"):
+            ops[call]()
+        assert engine.now == 2.0

@@ -1,8 +1,8 @@
-"""Tests for periodic and one-shot timers."""
+"""Tests for periodic timers."""
 
 import pytest
 
-from repro.simkit.timers import OneShotTimer, PeriodicTimer
+from repro.simkit.timers import PeriodicTimer
 
 
 class TestPeriodicTimer:
@@ -45,6 +45,20 @@ class TestPeriodicTimer:
         with pytest.raises(RuntimeError):
             timer.start()
 
+    def test_start_after_stop_rejected(self, engine):
+        # stop() drops the callback (it would tie the timer's owner into a
+        # reference cycle), so a restart must refuse, not tick into None
+        ticks = []
+        timer = PeriodicTimer(engine, 1.0, ticks.append, "tick")
+        timer.start()
+        engine.run(until=2.0)
+        timer.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            timer.start()
+        engine.run(until=5.0)
+        assert ticks == ["tick", "tick"]
+        assert not timer.active
+
     def test_nonpositive_interval_rejected(self, engine):
         with pytest.raises(ValueError):
             PeriodicTimer(engine, 0.0, lambda: None)
@@ -54,28 +68,6 @@ class TestPeriodicTimer:
         PeriodicTimer(engine, 1.0, seen.append, "payload").start()
         engine.run(until=2.0)
         assert seen == ["payload", "payload"]
-
-
-class TestOneShotTimer:
-    def test_fires_once(self, engine):
-        seen = []
-        OneShotTimer(engine, 5.0, seen.append, "x")
-        engine.run(until=100.0)
-        assert seen == ["x"]
-
-    def test_cancel_before_fire(self, engine):
-        seen = []
-        timer = OneShotTimer(engine, 5.0, seen.append, "x")
-        timer.cancel()
-        engine.run(until=100.0)
-        assert seen == []
-        assert not timer.active
-
-    def test_fired_flag(self, engine):
-        timer = OneShotTimer(engine, 1.0, lambda: None)
-        assert not timer.fired
-        engine.run(until=2.0)
-        assert timer.fired
 
 
 class TestGridTicksAndDrift:

@@ -10,8 +10,9 @@ every push:
   equal, and the rebuild function takes exactly ``Job``'s fields, so a
   new field cannot be dropped silently;
 * **logs**: a restore builds a fresh completion log holding the very
-  jobs the live log held at the snapshot instant, whatever the live run
-  or another branch appends later;
+  entries the live log held at the snapshot instant (a system's jobs, a
+  service's per-completion metrics), whatever the live run or another
+  branch appends later;
 * **plain loads**: ``pickle.loads`` of snapshot bytes says to restore
   through ``EngineSnapshot.restore``;
 * **no cycle**: with the cyclic collector off, a restored world's root
@@ -30,6 +31,8 @@ import weakref
 import pytest
 
 from conftest import make_job, make_trace
+from repro.api.spec import ServiceSpec
+from repro.serving import build_service
 from repro.simkit.engine import SimulationEngine
 from repro.simkit.snapshot import snapshot_world
 from repro.systems.base import WorkloadBundle
@@ -118,6 +121,34 @@ def _mtc_bundle() -> WorkloadBundle:
     )
 
 
+class ServiceRun:
+    """A service driven like a live run: each move ends in a metrics read,
+    which folds the new completions into the service's metric logs."""
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.engine = service.engine
+
+    def advance_before(self, time: float) -> None:
+        self.service.advance_to(time)
+        self.service.metrics()
+
+    def snapshot(self):
+        return snapshot_world(self)
+
+    def complete(self) -> None:
+        self.advance_before(self.service.horizon)
+
+
+def _service_run() -> ServiceRun:
+    service = build_service(ServiceSpec.from_dict({
+        "name": "t", "system": "dcs", "machine_nodes": 16,
+        "horizon_s": 4 * 3600.0,
+    }))
+    service.submit_batch(_htc_bundle().trace)
+    return ServiceRun(service)
+
+
 #: every owner of a completion log: (build, the log, a snapshot instant
 #: after some but not all completions)
 LOG_OWNERS = {
@@ -129,6 +160,12 @@ LOG_OWNERS = {
                    lambda live: live.state.completed, 2400.0),
     "drp-mtc": (lambda: DrpMtcLiveRun(_mtc_bundle()),
                 lambda live: live.pool.completed, 75.0),
+    "service-finish-times": (_service_run,
+                             lambda run: run.service._finish_times, 2400.0),
+    "service-work-done": (_service_run,
+                          lambda run: run.service._work_done, 2400.0),
+    "service-slo-ok": (_service_run,
+                       lambda run: run.service._slo_ok, 2400.0),
 }
 
 
