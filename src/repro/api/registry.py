@@ -23,7 +23,7 @@ whenever the full catalog is needed.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 #: The component kinds the spec layer composes (fixed vocabulary: an

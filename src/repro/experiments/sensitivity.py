@@ -43,7 +43,7 @@ Design
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.api.registry import default_components
 from repro.api.spec import (

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import gc
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping, Optional, Union
 

@@ -31,11 +31,14 @@ on, no hooks attached, any failure injector's earliest possible failure
 strictly beyond the horizon with no checkpoint policy stretching walls,
 and the peak node demand — computed with starts-before-finishes tie
 breaking, an overestimate — must fit the machine, so no queueing decision
-ever arises.  Anything else returns a reason and the caller falls back to
-the exact engine (the deferred trace is injected with identical event
-sequence numbers, so the fallback is byte-identical to a never-hybrid
-run).  MTC/workflow runs, elastic (DawningCloud/DRP) systems, contended
-traces and in-window failures are all served by the exact engine.
+ever arises (:func:`~repro.simkit.kernel.demand_fits` decides that from
+a linear-time upper bound and sorts the events only when the bound does
+not clear the machine).  Anything else returns a reason and the caller
+falls back to the exact engine (the deferred trace is injected with
+identical event sequence numbers, so the fallback is byte-identical to a
+never-hybrid run).  MTC/workflow runs, elastic (DawningCloud/DRP)
+systems, contended traces and in-window failures are all served by the
+exact engine.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.simkit.kernel import KernelSpec, grid_starts, peak_concurrency
+from repro.simkit.kernel import KernelSpec, demand_fits, grid_starts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.systems.fixed import FixedLiveRun
@@ -120,7 +123,7 @@ def try_fluid_run(run: "FixedLiveRun") -> bool:
 
     starts = grid_starts(submit, timer.interval, timer._epoch)
     finishes = starts + runtimes
-    if peak_concurrency(starts, finishes, sizes) > nodes:
+    if not demand_fits(starts, finishes, sizes, nodes):
         STATS["fallbacks"] += 1
         return False
 

@@ -13,7 +13,10 @@ Each operation has one implementation, in numpy.  Elementwise float64
 arithmetic in numpy is IEEE-754-identical to CPython's float arithmetic,
 so the results equal the scalar computation the exact engine performs
 bit for bit; ``tests/test_differential_kernel.py`` keeps those scalar
-loops as oracles and asserts it.
+loops as oracles and asserts it.  The contention gate,
+:func:`demand_fits`, answers exactly what the :func:`peak_concurrency`
+sweep would, but from a linear-time upper bound whenever that bound
+already clears the machine.
 
 Selection (lower to higher precedence):
 
@@ -183,3 +186,53 @@ def peak_concurrency(
     order = np.lexsort((tiekey, times))
     ordered = deltas[order]
     return int(np.cumsum(ordered).max())
+
+
+def _windowed_demand_bound(
+    starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray
+) -> int:
+    """An O(n) upper bound on :func:`peak_concurrency`.
+
+    ``[min start, max finish]`` is cut into n equal windows; each job
+    counts in every window from its start's to its finish's, and the
+    bound is the fullest window.  The window index
+    ``trunc((t - lo) / width)`` is monotone in t (IEEE subtraction of a
+    constant and division by a positive one both are), so every job the
+    sweep counts at an instant x (start <= x <= finish) counts in x's
+    window.  Needs ``finishes >= starts`` and non-negative sizes; the
+    integer sums are exact.
+    """
+    n = len(starts)
+    if n == 0:
+        return 0
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    lo = starts.min()
+    width = (finishes.max() - lo) / n
+    if not 0.0 < width < np.inf:
+        # every instant equal (the sweep's own peak), or no usable grid
+        return int(sizes.sum())
+
+    def window(times: np.ndarray) -> np.ndarray:
+        index = ((times - lo) / width).astype(np.int64)
+        return np.minimum(index, n, out=index)
+
+    # +size from a job's start window, -size one past its finish window
+    level = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(level, window(starts), sizes)
+    np.subtract.at(level, window(finishes) + 1, sizes)
+    np.cumsum(level, out=level)
+    return int(level.max())
+
+
+def demand_fits(
+    starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray, nodes: int
+) -> bool:
+    """``peak_concurrency(starts, finishes, sizes) <= nodes``, bound first.
+
+    The windowed bound never undercuts the exact peak, so a bound that
+    clears the machine decides alone; only a bound above ``nodes`` pays
+    for the exact sweep's lexsort.
+    """
+    if _windowed_demand_bound(starts, finishes, sizes) <= nodes:
+        return True
+    return peak_concurrency(starts, finishes, sizes) <= nodes

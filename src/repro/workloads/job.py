@@ -517,14 +517,17 @@ class Trace:
     ) -> "Trace":
         """Build a trace on columnar storage; jobs materialize lazily.
 
-        Validation runs vectorized (``validated=True`` skips it when the
-        arrays were already checked, e.g. on :meth:`copy`).  The arrays are
-        shared, never copied — they are immutable by convention.
+        The rows are put in (submit, job_id) order and validated
+        vectorized.  ``validated=True`` skips both and keeps ``arrays``
+        as given: pass it only for another trace's arrays, which are
+        checked and in that order already (:meth:`copy` does).  The
+        arrays are shared, never copied — they are immutable by
+        convention.
         """
         self = cls.__new__(cls)
         self.name = name
         self._jobs = None
-        self._arrays = arrays.sorted_by_submit()
+        self._arrays = arrays if validated else arrays.sorted_by_submit()
         self.machine_nodes = int(machine_nodes)
         self.duration = float(duration)
         self.metadata = dict(metadata or {})

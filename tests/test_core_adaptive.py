@@ -10,7 +10,6 @@ from repro.core.adaptive import (
     StaticPolicy,
     policy_catalog,
 )
-from repro.core.dawningcloud import DawningCloud
 from repro.core.policies import HTC_SCAN_INTERVAL_S, MTC_SCAN_INTERVAL_S
 from repro.systems.dsp_runner import run_dawningcloud_htc
 from repro.workloads.job import Job, Trace

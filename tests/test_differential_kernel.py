@@ -26,12 +26,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.simkit import kernel as kernelmod
 from repro.simkit import fluid as fluidmod
 from repro.simkit.kernel import (
     KernelConfigError,
     KernelSpec,
+    demand_fits,
     grid_starts,
     peak_concurrency,
     resolve_kernel_spec,
@@ -104,6 +107,25 @@ def contended_bundle(n: int = 400) -> WorkloadBundle:
     return WorkloadBundle.from_trace("contended", trace)
 
 
+def bound_above_peak_bundle() -> WorkloadBundle:
+    """Three 4-node jobs on 8 nodes whose windowed bound overshoots.
+
+    Dispatched at the 60 s and 240 s ticks, at most two run at once, so
+    the exact peak is 8; all three start in the first of three windows,
+    where the long job also runs, so the windowed bound reads 12.
+    """
+    arrays = TraceArrays(
+        np.arange(3, dtype=np.int64),
+        np.array([10.0, 10.0, 200.0]),
+        np.array([4, 4, 4], dtype=np.int64),
+        np.array([1000.0, 100.0, 100.0]),
+    )
+    trace = Trace.from_arrays(
+        "bound-above-peak", arrays, machine_nodes=8, duration=2000.0
+    )
+    return WorkloadBundle.from_trace("bound-above-peak", trace)
+
+
 def world_fingerprint(run: FixedLiveRun) -> dict:
     """Every observable the exact engine produces, for deep comparison."""
     server = run.server
@@ -143,6 +165,17 @@ class TestUncontendedBackends:
             assert hybrid.provision.usage_events() == (
                 exact.provision.usage_events()
             )
+
+    @pytest.mark.parametrize("system", ["DCS", "SSP"])
+    def test_fluid_engages_where_only_the_exact_peak_fits(self, system):
+        bundle = bound_above_peak_bundle()
+        exact = FixedLiveRun(bundle, system, kernel="off")
+        exact.complete()
+        hybrid = FixedLiveRun(bundle, system, kernel="numpy")
+        hybrid.complete()
+        assert hybrid.fluid_applied
+        assert world_fingerprint(hybrid) == world_fingerprint(exact)
+        assert hybrid.finish().to_payload() == exact.finish().to_payload()
 
     def test_columnar_payload_equals_materialized(self):
         bundle = uncontended_bundle()
@@ -318,6 +351,68 @@ class TestKernelOps:
         sizes = np.array([4, 4], dtype=np.int64)
         assert peak_concurrency(starts, finishes, sizes) == 8
         assert peak_concurrency(np.array([]), np.array([]), np.array([])) == 0
+
+
+@st.composite
+def demand_sets(draw):
+    """(starts, finishes, sizes) of up to 40 jobs in one of four shapes:
+    continuous times, a coarse integer grid (ties, touching and
+    zero-length jobs), offsets near 1e15 (an ulp of 0.125) or one
+    instant shared by every start and finish."""
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["continuous", "grid", "offset", "equal"]))
+    sizes = np.array(
+        draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+
+    def column(elements):
+        return np.array(
+            draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64
+        )
+
+    if shape == "continuous":
+        starts = column(st.floats(0.0, 1000.0))
+        lengths = column(st.floats(0.0, 500.0))
+    elif shape == "grid":
+        starts = column(st.integers(0, 20))
+        lengths = column(st.integers(0, 5))
+    elif shape == "offset":
+        starts = 1e15 + column(st.integers(0, 64)) * 0.125
+        lengths = column(st.integers(0, 16)) * 0.125
+    else:
+        starts = np.full(n, draw(st.floats(0.0, 1e15)))
+        lengths = np.zeros(n)
+    return starts, starts + lengths, sizes
+
+
+class TestDemandFits:
+    """``demand_fits`` answers exactly what the sweep line would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(demand_sets())
+    @example((np.array([]), np.array([]), np.array([], dtype=np.int64))
+             ).via("empty input")
+    @example((np.full(5, 7.5), np.full(5, 7.5), np.arange(1, 6))
+             ).via("every instant equal")
+    def test_equals_the_sweep_for_every_machine_size(self, jobs):
+        starts, finishes, sizes = jobs
+        peak = peak_concurrency(starts, finishes, sizes)
+        for nodes in range(peak + 2):
+            assert demand_fits(starts, finishes, sizes, nodes) == (
+                peak <= nodes
+            ), nodes
+
+    def test_the_bound_overshoots_on_the_three_job_world(self):
+        # what makes the world-level test above decide on the sweep
+        arrays = bound_above_peak_bundle().trace.arrays
+        starts = grid_starts(arrays.submit, 60.0)
+        finishes = starts + arrays.runtime
+        assert starts.tolist() == [60.0, 60.0, 240.0]
+        assert kernelmod._windowed_demand_bound(
+            starts, finishes, arrays.size
+        ) == 12
+        assert peak_concurrency(starts, finishes, arrays.size) == 8
 
 
 class TestConfiguration:

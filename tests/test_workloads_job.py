@@ -1,9 +1,16 @@
 """Tests for the job/trace data model."""
 
+import numpy as np
 import pytest
 
-from repro.workloads.job import JobState, hour_ceil, validate_dependencies
-from tests.conftest import make_job, make_trace
+from repro.workloads.job import (
+    JobState,
+    Trace,
+    TraceArrays,
+    hour_ceil,
+    validate_dependencies,
+)
+from tests.conftest import HOUR, make_job, make_trace
 
 
 class TestJob:
@@ -104,6 +111,49 @@ class TestTrace:
 
     def test_max_size(self, small_trace):
         assert small_trace.max_size == 16
+
+
+def shuffled_columns() -> TraceArrays:
+    """Rows in random order, with tied submit times."""
+    rng = np.random.default_rng(5)
+    n = 50
+    return TraceArrays(
+        job_id=rng.permutation(n),
+        submit=rng.integers(0, 10, n).astype(np.float64) * 60.0,
+        size=rng.integers(1, 16, n),
+        runtime=rng.uniform(60.0, 600.0, n),
+    )
+
+
+def shuffled_trace() -> Trace:
+    return Trace.from_arrays(
+        "shuffled", shuffled_columns(), machine_nodes=16, duration=HOUR
+    )
+
+
+class TestTraceColumns:
+    def test_from_arrays_orders_rows_by_submit_then_id(self):
+        given = shuffled_columns()
+        arrays = shuffled_trace().arrays
+        keys = list(zip(arrays.submit.tolist(), arrays.job_id.tolist()))
+        assert keys == sorted(keys)
+        # whole rows moved: every job kept its own submit time
+        assert {j: s for s, j in keys} == dict(
+            zip(given.job_id.tolist(), given.submit.tolist())
+        )
+
+    @pytest.mark.parametrize("built_from", ["arrays", "jobs"])
+    def test_copy_shares_the_columns_as_they_are(self, built_from, small_trace):
+        trace = shuffled_trace() if built_from == "arrays" else small_trace
+        assert trace.copy().arrays is trace.arrays
+
+    @pytest.mark.parametrize("built_from", ["arrays", "jobs"])
+    def test_copy_materializes_fresh_jobs(self, built_from, small_trace):
+        trace = shuffled_trace() if built_from == "arrays" else small_trace
+        clone = trace.copy()
+        assert [j.job_id for j in clone] == [j.job_id for j in trace]
+        assert all(a is not b for a, b in zip(clone.jobs, trace.jobs))
+        assert all(j.state is JobState.PENDING for j in clone)
 
 
 class TestValidateDependencies:
