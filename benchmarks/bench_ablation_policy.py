@@ -11,9 +11,8 @@ Two knobs DESIGN.md calls out:
 Both sweeps are declared :class:`~repro.experiments.sensitivity
 .AblationPlan` grids over one shared baseline spec.  The release-check
 path is retargetable, so the whole cadence sweep collapses into a single
-prefix-shared run (one simulation prefix, branched per point); the
-capacity grid runs one-off points, with the paper's 420 aliasing the
-baseline run.
+swept spec, executed and cached as one run; the capacity grid runs
+one-off points, with the paper's 420 aliasing the baseline run.
 """
 
 from repro.core.policies import ResourceManagementPolicy
@@ -64,7 +63,7 @@ def test_ablation_release_check_interval(benchmark, setup):
     print(render_table(rows, title="Ablation: idle-release check cadence "
                                    "(DawningCloud, NASA trace)"))
     assert all(r["completed_jobs"] >= 2580 for r in rows)
-    # the off-baseline cadences collapsed into ONE prefix-shared swept run
+    # the off-baseline cadences collapsed into ONE swept run
     swept = [v for v in execute_plan(plan, seed=setup.seed).variants if v.sweep]
     assert len(swept) == 1
 

@@ -10,11 +10,7 @@ job when any tracked scenario's wall time regresses by more than
   (events/second) under the timer-churn pattern every system produces;
 * the **cold (B, R) sweeps** (Figures 9 and 10) — 16 full two-week
   DawningCloud simulations each, the workload the provisioning kernel's
-  incremental accounting and the idle-gap fast-forward are built for;
-* the **prefix-shared (branched) sweep** — one warm-up per B forked
-  per threshold ratio (``fork_experiment_branches``), asserted
-  byte-identical to cold runs of every point and timed, so the
-  branching machinery has its own point on the trajectory.
+  incremental accounting and the idle-gap fast-forward are built for.
 
 Absolute wall times are machine-dependent; the gate therefore compares a
 fresh run on the *same* machine/CI-runner class against the committed
@@ -158,59 +154,6 @@ def supervision_overhead(scenario: str = "table1-models",
         "bare_wall_s": round(bare, 5),
         "supervised_wall_s": round(supervised, 5),
         "overhead_s": round(overhead, 5),
-    }
-
-
-def prefix_shared_sweep(n_jobs: int = 40) -> dict:
-    """Branched sweep vs cold sweep: identity asserted, both timed.
-
-    The synthetic trace's first submission lands 40% into the horizon, so
-    the R-independent warm-up prefix is long enough that ``"auto"`` would
-    share it too (see ``repro.api.run.SHARED_PREFIX_MIN_FRACTION``); both
-    paths are timed explicitly here so each is exercised regardless of
-    the guard: the cold side runs every expanded point, the branched side
-    warms up once per B and forks per R.  A divergence between the two
-    raises AssertionError — this is the CI-side twin of
-    ``tests/test_snapshot_branching.py``.
-    """
-    from repro.api.run import fork_experiment_branches, run_system
-    from repro.api.spec import ExperimentSpec
-    from repro.experiments.ablations import workload_ref_for_bundle
-    from repro.systems.base import WorkloadBundle
-    from repro.workloads.job import Job, Trace
-
-    start = 9.6 * 3600.0
-    jobs = [
-        Job(job_id=i, submit_time=start + 90.0 * i, size=1 + i % 8,
-            runtime=1800.0)
-        for i in range(1, n_jobs + 1)
-    ]
-    bundle = WorkloadBundle.from_trace(
-        "branch", Trace("branch", jobs, machine_nodes=32, duration=24 * 3600.0)
-    )
-    spec = ExperimentSpec.from_dict({
-        "name": "prefix-shared-sweep",
-        "workloads": [workload_ref_for_bundle(bundle)],
-        "systems": [{"runner": "dawningcloud",
-                     "policy": {"name": "paper-htc"},
-                     "params": {"capacity": 64}}],
-        "sweep": {"policy.params.initial_nodes": [4, 8],
-                  "policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
-    })
-    t0 = time.perf_counter()
-    cold = [run_system(system, bundle) for system, _ in spec.expand_systems()]
-    t1 = time.perf_counter()
-    warm = [b.run() for b in fork_experiment_branches(spec, bundle=bundle)]
-    t2 = time.perf_counter()
-    assert [m.to_payload() for m in warm] == [m.to_payload() for m in cold], (
-        "branched sweep diverged from the cold sweep"
-    )
-    return {
-        "scenario": "prefix-shared-sweep",
-        "points": len(warm),
-        "identical": True,
-        "cold_wall_s": round(t1 - t0, 3),
-        "wall_s": round(t2 - t1, 3),
     }
 
 
@@ -413,7 +356,6 @@ def main(argv=None) -> int:
         "sweeps": [
             cold_sweep("fig10-sweep-nasa"),
             cold_sweep("fig09-sweep-blue"),
-            prefix_shared_sweep(),
             hybrid_kernel_sweep(),
             million_node_year_point(),
             serving_facade_point(),

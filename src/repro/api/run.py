@@ -9,9 +9,8 @@ This module is the executable half of the spec API:
   :class:`~repro.systems.base.LiveRun`; :func:`run_system` runs that to
   a finished :class:`~repro.metrics.results.ProviderMetrics`;
 * :func:`run_experiment` runs the full workloads × systems × seeds ×
-  sweep cross of an :class:`~repro.api.spec.ExperimentSpec` and returns
-  structured :class:`RunResult` records, sharing warm-up prefixes across
-  sweep points where that is provably exact;
+  sweep cross of an :class:`~repro.api.spec.ExperimentSpec`, one cold run
+  per point, and returns structured :class:`RunResult` records;
 * :class:`Simulation` wraps that in the orchestrator so spec runs share
   the content-addressed result cache — rerunning an unchanged spec is a
   JSON load;
@@ -25,7 +24,7 @@ This module is the executable half of the spec API:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
 from repro.api.registry import default_components
@@ -38,7 +37,6 @@ from repro.api.spec import (
     spec_digest,
 )
 from repro.core.policies import ResourceManagementPolicy
-from repro.experiments.cache import canonical_json
 from repro.metrics.results import ProviderMetrics
 from repro.provisioning.billing import BillingMeter
 from repro.systems import SYSTEM_ORDER
@@ -260,178 +258,18 @@ class RunResult:
         )
 
 
-# --------------------------------------------------------------------- #
-# prefix-shared sweep branching
-# --------------------------------------------------------------------- #
-#: Sweep paths a live branch can apply *after* the shared warm-up prefix:
-#: the threshold ratio is provably unread before the first submission, and
-#: release-check timers only exist once a dynamic grant happened.  Any
-#: other swept path (``initial_nodes``, scan cadences, capacity, the
-#: scheduler) shapes the world at build time, so it splits the grid into
-#: groups that each warm up once.
-RETARGETABLE_SWEEP_PATHS = frozenset(
-    {
-        "policy.params.threshold_ratio",
-        "policy.params.release_check_interval_s",
-    }
-)
-
-#: ``share_prefix="auto"`` branches only when the R-independent warm-up
-#: (everything before the first workload submission) covers at least this
-#: fraction of the horizon.  Forking pickles a fully loaded world —
-#: measurably more expensive than a cold build plus replay of a short
-#: prefix — so sharing pays only when the shared prefix is long.
-SHARED_PREFIX_MIN_FRACTION = 0.25
-
-
-def branch_instant(bundle: WorkloadBundle) -> float:
-    """The latest instant provably independent of the threshold ratio R.
-
-    The B/R decision rule returns before consulting R whenever queue
-    demand is zero (see
-    :meth:`~repro.core.policies.ResourceManagementPolicy
-    .dynamic_request_size`), and no dynamic grant — hence no release
-    timer — can exist before something was submitted.  Everything
-    strictly before the first submission is therefore byte-identical
-    across all R values sharing one B, which makes it the sweep's safe
-    fork point.
-    """
-    if bundle.kind == "htc":
-        return min(job.submit_time for job in bundle.trace)  # type: ignore[union-attr]
-    return float(bundle.workflow.submit_time)  # type: ignore[union-attr]
-
-
-def _resolve_share(share_prefix: Union[bool, str], bundle: WorkloadBundle) -> bool:
-    if share_prefix == "auto":
-        horizon = float(bundle.horizon)  # type: ignore[arg-type]
-        return (
-            horizon > 0
-            and branch_instant(bundle) / horizon >= SHARED_PREFIX_MIN_FRACTION
-        )
-    return bool(share_prefix)
-
-
-def sweep_prefix_shareable(spec: ExperimentSpec) -> bool:
-    """Whether a spec's sweep grid qualifies for prefix-shared branching.
-
-    True when at least one swept path is retargetable on a live branch
-    (:data:`RETARGETABLE_SWEEP_PATHS`) and every system is a DawningCloud
-    runner (the one runner whose policy negotiates mid-run).  The other
-    swept paths group the grid: each group shares one warm-up.
-    """
-    return bool(set(spec.sweep) & RETARGETABLE_SWEEP_PATHS) and all(
-        system.runner == "dawningcloud" for system in spec.systems
-    )
-
-
-@dataclass
-class SweepBranch:
-    """One live branch of a prefix-shared sweep: run it, keep the point."""
-
-    system: SystemSpec
-    point: Mapping[str, Any]
-    live: LiveRun
-
-    def run(self) -> ProviderMetrics:
-        return self.live.run()
-
-
-def fork_experiment_branches(
-    spec: ExperimentSpec,
-    *,
-    workload: int = 0,
-    seed: int = 0,
-    at: Optional[float] = None,
-    bundle: Optional[WorkloadBundle] = None,
-) -> list[SweepBranch]:
-    """The sweep grid as live branches sharing warm-up prefixes.
-
-    Points are grouped by base system and by their swept values outside
-    :data:`RETARGETABLE_SWEEP_PATHS` (e.g. one group per B of a B×R
-    grid).  Each group's warm-up — everything before ``at``, which
-    defaults to the R-independent :func:`branch_instant` — is simulated
-    once; each point is then a fork of that world with the point's
-    policy retargeted onto it.  Branches arrive unrun, in
-    :meth:`ExperimentSpec.expand_systems` order, and are fully disjoint:
-    running one cannot perturb another.
-
-    With the default ``at`` every branch is byte-identical to a cold run
-    of its point (the differential harness pins this); a later ``at`` is
-    the what-if mode — the common history up to ``at`` ran under the
-    group's *base* policy (the base system's own, with the group's
-    non-retargetable values applied), and the branches answer "what if
-    R changed now?".
-    """
-    if not sweep_prefix_shareable(spec):
-        raise ValueError(
-            "spec does not qualify for prefix-shared branching: needs a "
-            f"sweep over {sorted(RETARGETABLE_SWEEP_PATHS)} on DawningCloud "
-            f"systems, got sweep paths {sorted(spec.sweep)}"
-        )
-    wspec = spec.workloads[workload]
-    if bundle is None:
-        bundle = materialize_workload(wspec, seed)
-    start = branch_instant(bundle) if at is None else at
-    expanded = spec.expand_systems()
-    per_system = len(expanded) // len(spec.systems)
-    # (base system, build-shaping values) -> (those values, point indices)
-    groups: dict[tuple[int, str], tuple[dict, list[int]]] = {}
-    for index, (_system, point) in enumerate(expanded):
-        shaping = {
-            path: value for path, value in point.items()
-            if path not in RETARGETABLE_SWEEP_PATHS
-        }
-        key = (index // per_system, canonical_json(shaping))
-        groups.setdefault(key, (shaping, []))[1].append(index)
-    branches: list[Optional[SweepBranch]] = [None] * len(expanded)
-    registry = default_components()
-    for (s_index, _), (shaping, indices) in groups.items():
-        base_spec = replace(
-            spec, systems=(spec.systems[s_index],),
-            sweep={path: [value] for path, value in shaping.items()},
-        )
-        base = build_live_system(
-            base_spec.expand_systems()[0][0], bundle, seed
-        )
-        base.advance_before(start)
-        # all forks are taken before any branch runs; the base world
-        # itself serves the group's last point
-        for offset, index in enumerate(indices):
-            system, point = expanded[index]
-            live = base if offset == len(indices) - 1 else base.fork()
-            live.retarget_policy(
-                registry.create(
-                    "policy", system.policy.name, **system.policy.params
-                )
-            )
-            branches[index] = SweepBranch(system=system, point=point, live=live)
-    return branches  # type: ignore[return-value]
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    seed: int = 0,
-    share_prefix: Union[bool, str] = "auto",
-) -> list[RunResult]:
+def run_experiment(spec: ExperimentSpec, seed: int = 0) -> list[RunResult]:
     """Execute the full cross of an experiment spec, in declaration order.
 
     Workloads outermost, then sweep-expanded systems, then seed offsets —
     a deterministic order so payloads are reproducible byte-for-byte.
-    The effective seed of each run is ``seed + offset``.
-
-    ``share_prefix`` controls prefix-shared sweep branching: grids that
-    qualify (:func:`sweep_prefix_shareable`) run each warm-up once per
-    group and fork per point (:func:`fork_experiment_branches`) instead
-    of re-simulating it.  ``"auto"`` branches only when the prefix is
-    long enough to pay for the fork (:data:`SHARED_PREFIX_MIN_FRACTION`);
-    either path produces byte-identical results.
+    The effective seed of each run is ``seed + offset``; every point is
+    one cold run of its system.
     """
     results = []
     bundles: dict[tuple[int, int], WorkloadBundle] = {}
-    shareable = share_prefix is not False and sweep_prefix_shareable(spec)
-    branch_cache: dict[tuple[int, int], list[SweepBranch]] = {}
     for w_index, wspec in enumerate(spec.workloads):
-        for p_index, (system, point) in enumerate(spec.expand_systems()):
+        for system, point in spec.expand_systems():
             for offset in spec.seeds:
                 effective = seed + offset
                 # one bundle per (workload, seed): runners replay fresh
@@ -446,19 +284,7 @@ def run_experiment(
                     bundle = bundles[key] = materialize_workload(
                         wspec, effective
                     )
-                if shareable and _resolve_share(share_prefix, bundle):
-                    branches = branch_cache.get(key)
-                    if branches is None:
-                        branches = branch_cache[key] = (
-                            fork_experiment_branches(
-                                spec, workload=w_index, seed=effective,
-                                bundle=bundle,
-                            )
-                        )
-                    metrics = branches[p_index].run()
-                    branches[p_index] = None  # a finished world is dead weight
-                else:
-                    metrics = run_system(system, bundle, seed=effective)
+                metrics = run_system(system, bundle, seed=effective)
                 results.append(
                     RunResult(
                         experiment=spec.name,
@@ -688,30 +514,6 @@ class Simulation:
     def cached(self) -> bool:
         """Whether the last :meth:`run` was served from the result cache."""
         return self._require_run().cached
-
-    # ------------------------------------------------------------------ #
-    def fork(
-        self,
-        at: Optional[float] = None,
-        *,
-        workload: int = 0,
-        seed_offset: int = 0,
-    ) -> list[SweepBranch]:
-        """Branch the spec's sweep grid mid-run: one live world per point.
-
-        Each group's shared warm-up prefix is simulated once and every
-        sweep point continues from a fork of it
-        (:func:`fork_experiment_branches`).  With the default ``at`` each
-        branch is byte-identical to a cold run of its point; an explicit
-        later ``at`` asks the what-if question instead — the history up
-        to ``at`` ran under the base system's policy, and each branch
-        answers "what if this point's parameters applied from here on?".
-        Branches bypass the result cache (they are live simulations, not
-        payloads); call ``branch.run()`` to finish one into metrics.
-        """
-        return fork_experiment_branches(
-            self.spec, workload=workload, seed=self.seed + seed_offset, at=at
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -62,7 +62,6 @@ class DawningCloud:
         self._tres: dict[str, ThinRuntimeEnvironment] = {}
         self._workloads: dict[str, str] = {}
         self._pending_workflows: dict[str, int] = {}
-        self._pending_specs: dict[str, RuntimeEnvironmentSpec] = {}
         self._destroyed_at: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -119,18 +118,10 @@ class DawningCloud:
             # priority -1: the TRE exists before same-instant submissions.
             # Bound method, not a closure: pending events must survive
             # engine snapshots, which pickle bound methods with their
-            # instance and refuse closures.  The spec is looked up by
-            # name at fire time (not baked into the event args) so a
-            # forked branch can retarget the policy of a TRE that does
-            # not exist yet.
-            self._pending_specs[name] = spec
+            # instance and refuse closures.
             self.engine.schedule_at(
-                create_at, self._create_pending_tre, name, auto_destroy,
-                priority=-1,
+                create_at, self._create_tre, spec, auto_destroy, priority=-1,
             )
-
-    def _create_pending_tre(self, name: str, auto_destroy: bool) -> None:
-        self._create_tre(self._pending_specs.pop(name), auto_destroy)
 
     def _create_tre(self, spec: RuntimeEnvironmentSpec, auto_destroy: bool) -> None:
         name = spec.provider

@@ -464,8 +464,8 @@ def render_experiments_md(
       "component one-off against the Table 2 DawningCloud baseline and "
       "perturbs the retargetable policy knobs ±25%, executing the whole "
       "run set through the supervised orchestrator with digest-stable run "
-      "IDs — configurations that alias the baseline cost nothing, and the "
-      "perturbation grids collapse into prefix-shared swept runs. The "
+      "IDs — configurations that alias the baseline cost nothing, and each "
+      "perturbation grid becomes one swept spec, cached as one run. The "
       "ranking quantifies the paper's own emphasis: the resource-"
       "management policy and the provisioning model dominate, the "
       "dispatch rule barely matters.\n")

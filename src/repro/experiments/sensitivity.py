@@ -28,9 +28,8 @@ Design
   ``ablate-<digest12>`` in a private registry and run through the
   :class:`~repro.experiments.orchestrator.Orchestrator` (retry/timeout
   supervision, journal, result cache).  Single-path grids over
-  :data:`~repro.api.run.RETARGETABLE_SWEEP_PATHS` collapse into one
-  swept spec so :func:`~repro.api.run.run_experiment` prefix-shares the
-  simulation up to the first divergence.
+  :data:`RETARGETABLE_SWEEP_PATHS` collapse into one swept spec, so the
+  whole grid executes and is cached as one run.
 * **Importance is a delta.**  Each variant's cost (billed node-hours),
   throughput (completed jobs) and goodput (failure-adjusted node-hours,
   when a failure model reports it) are compared against the baseline;
@@ -82,6 +81,18 @@ DEFAULT_SWAP_KINDS = (
 
 #: relative tolerance below which a metric delta counts as "no change".
 DELTA_EPS = 1e-9
+
+#: The policy knobs a live DawningCloud TRE can take mid-run (the what-if
+#: ``policy`` delta): the threshold ratio and the release-check cadence.
+#: ``initial_nodes`` and ``scan_interval_s`` are fixed when the TRE is
+#: built.  A single-path grid over one of these collapses into one swept
+#: spec (:func:`generate_variants`); every other grid runs per point.
+RETARGETABLE_SWEEP_PATHS = frozenset(
+    {
+        "policy.params.threshold_ratio",
+        "policy.params.release_check_interval_s",
+    }
+)
 
 
 # --------------------------------------------------------------------- #
@@ -300,9 +311,7 @@ def _axis_alternatives(axis: ComponentAxis) -> tuple[Alternative, ...]:
 
 
 def _grid_is_retargetable(plan: AblationPlan, grid: PathGrid) -> bool:
-    """Can this grid collapse into one prefix-shared swept spec?"""
-    from repro.api.run import RETARGETABLE_SWEEP_PATHS
-
+    """Can this grid collapse into one swept spec, cached as one run?"""
     return (
         len(grid.paths) == 1
         and grid.paths[0] in RETARGETABLE_SWEEP_PATHS
@@ -1080,8 +1089,8 @@ def render_report(report: AblationReport, heading: str = "###") -> str:
 # the registered analysis: one scenario's full sensitivity screen
 # --------------------------------------------------------------------- #
 #: Default parameter-perturbation paths for the automatic screen.  Both
-#: are retargetable, so each ±step grid collapses into one prefix-shared
-#: swept run instead of per-point simulations.
+#: are retargetable, so each ±step grid collapses into one swept spec,
+#: cached as one run, instead of one run per point.
 DEFAULT_SENSITIVITY_GRIDS = (
     "policy.params.threshold_ratio",
     "policy.params.release_check_interval_s",

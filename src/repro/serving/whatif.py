@@ -13,9 +13,7 @@ property the tests pin down).
 
 Retargetable deltas
 -------------------
-Only quantities that can change on a *live* world mid-run are accepted
-(the same discipline as the sweep layer's
-:data:`~repro.api.run.RETARGETABLE_SWEEP_PATHS`):
+Only quantities that can change on a *live* world mid-run are accepted:
 
 =================  ====================================================
 ``load_multiplier``  scales the still-pending arrival stream: > 1 clones
@@ -29,7 +27,9 @@ Only quantities that can change on a *live* world mid-run are accepted
                    close).  Refused on DCS: an owned machine is not
                    metered
 ``policy``         swaps the resource-management policy via the live
-                   run's ``retarget_policy`` (DawningCloud runners only)
+                   run's ``retarget_policy`` (DawningCloud only): the
+                   threshold ratio and release cadence may change, B and
+                   the scan interval are fixed at TRE creation
 =================  ====================================================
 
 Supervision

@@ -229,8 +229,8 @@ def snapshot_world(
 def fork_world(world: Any, engine: Optional[SimulationEngine] = None) -> Any:
     """One live branch of ``world``: ``snapshot_world(world).restore()``.
 
-    Use it when branches are consumed immediately (prefix-shared sweeps);
+    Use it for one branch (:meth:`~repro.systems.base.LiveRun.fork`);
     keep an :class:`EngineSnapshot` when several branches start from one
-    instant, so the world is pickled once.
+    instant, as a what-if does, so the world is pickled once.
     """
     return snapshot_world(world, engine).restore()

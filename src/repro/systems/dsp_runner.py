@@ -70,48 +70,6 @@ def _elastic_injector(
     )
 
 
-def _retarget_policy(
-    cloud: DawningCloud, name: str, policy: ResourceManagementPolicy
-) -> None:
-    """Swap a provider's resource-management policy on a live world.
-
-    Only sound while the old policy is provably unread: before the first
-    workload submission every scan sees zero demand and returns before
-    consulting the threshold ratio, and no dynamic grant exists yet, so a
-    branch retargeted at or before that instant continues byte-identically
-    to a cold run built with ``policy``.  ``initial_nodes`` is burned into
-    the TRE's startup lease (and ``scan_interval_s`` into its scan timer)
-    at creation, so neither can be retargeted on an existing TRE.
-    """
-    from dataclasses import replace
-
-    tre = cloud._tres.get(name)
-    current = (
-        tre.spec.policy if tre is not None else cloud._pending_specs[name].policy
-    )
-    if policy.initial_nodes != current.initial_nodes and tre is not None:
-        raise ValueError(
-            f"cannot retarget initial_nodes on a live TRE "
-            f"({current.initial_nodes} -> {policy.initial_nodes}); B is the "
-            f"startup lease, branch from a base built with the right B"
-        )
-    if tre is None:
-        # TRE not created yet (MTC, create_at in the future): the policy
-        # simply rides along in the pending spec.
-        cloud._pending_specs[name] = replace(
-            cloud._pending_specs[name], policy=policy
-        )
-        return
-    if policy.scan_interval_s != current.scan_interval_s:
-        raise ValueError(
-            f"cannot retarget scan_interval_s on a live TRE "
-            f"({current.scan_interval_s} -> {policy.scan_interval_s}); the "
-            f"scan timer was armed at TRE creation"
-        )
-    tre.manager.policy = policy
-    tre.spec = replace(tre.spec, policy=policy)
-
-
 class DawningCloudHtcLiveRun(LiveRun):
     """One HTC provider on DawningCloud, built/loaded but not yet run."""
 
@@ -157,8 +115,35 @@ class DawningCloudHtcLiveRun(LiveRun):
         self.horizon = float(bundle.horizon)  # type: ignore[arg-type]
 
     def retarget_policy(self, policy: ResourceManagementPolicy) -> None:
-        """Swap B/R on a forked branch (see :func:`_retarget_policy`)."""
-        _retarget_policy(self.cloud, self.name, policy)
+        """Swap the provider's resource-management policy mid-run.
+
+        The what-if ``policy`` delta's entry point.  The threshold ratio
+        applies from the next scan, and the release-check cadence to
+        dynamic grants made after the swap (armed release timers keep
+        theirs).  ``initial_nodes`` is burned into the TRE's startup
+        lease and ``scan_interval_s`` into its scan timer at creation, so
+        a change to either is refused.
+        """
+        from dataclasses import replace
+
+        tre = self.cloud.tre(self.name)
+        current = tre.spec.policy
+        if policy.initial_nodes != current.initial_nodes:
+            raise ValueError(
+                f"cannot retarget initial_nodes on a live TRE "
+                f"({current.initial_nodes} -> {policy.initial_nodes}); B is "
+                f"the TRE's startup lease: keep initial_nodes="
+                f"{current.initial_nodes} in the delta, or boot a service "
+                f"with initial_nodes={policy.initial_nodes}"
+            )
+        if policy.scan_interval_s != current.scan_interval_s:
+            raise ValueError(
+                f"cannot retarget scan_interval_s on a live TRE "
+                f"({current.scan_interval_s} -> {policy.scan_interval_s}); "
+                f"the scan timer was armed at TRE creation"
+            )
+        tre.manager.policy = policy
+        tre.spec = replace(tre.spec, policy=policy)
 
     def complete(self) -> None:
         self.cloud.run(until=self.horizon)
@@ -237,10 +222,6 @@ class DawningCloudMtcLiveRun(LiveRun):
         self.injector = _elastic_injector(
             self.cloud, bundle, failures, seed
         ).start()
-
-    def retarget_policy(self, policy: ResourceManagementPolicy) -> None:
-        """Swap B/R on a forked branch (see :func:`_retarget_policy`)."""
-        _retarget_policy(self.cloud, self.name, policy)
 
     def complete(self) -> None:
         run_until(self.engine, self.workflow.completed, hard_limit=self.horizon)

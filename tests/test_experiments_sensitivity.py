@@ -5,7 +5,7 @@ The pinned invariants:
 * **Plans expand deterministically** — baseline first, digest run IDs,
   baseline markers aliasing the baseline run, unexpressible swaps
   recorded (never silently dropped), retargetable single-path grids
-  collapsing into one prefix-shared swept spec.
+  collapsing into one swept spec, cached as one run.
 * **The baseline runs once** — N one-off ablations over one baseline
   perform exactly one baseline execution; a second plan over the same
   baseline gets it back as a cache hit (the duplicate-baseline bug the

@@ -384,6 +384,25 @@ class TestWhatIf:
         # permanent: one attempt, structured error chain attached
         assert exc_info.value.error["type"] == "WhatIfError"
 
+    @pytest.mark.parametrize(
+        "params,knob",
+        [({"initial_nodes": 8}, "initial_nodes"),
+         ({"initial_nodes": 4, "scan_interval_s": 30.0}, "scan_interval_s")],
+        ids=["initial_nodes", "scan_interval_s"],
+    )
+    def test_policy_delta_refuses_knobs_fixed_at_tre_creation(self, params,
+                                                              knob):
+        service = build_service(dc_spec())
+        service.submit_batch(make_jobs(12, size=3, runtime=5400.0))
+        service.advance_to(700.0)
+        with pytest.raises(
+            WhatIfError, match=f"cannot retarget {knob} on a live TRE"
+        ):
+            WhatIfEngine(service).what_if(
+                {"policy": {"name": "paper-htc", "params": params}}, 3600.0
+            )
+        assert service.now == 700.0
+
     def test_billing_delta_on_dcs_fails(self):
         service = build_service(dcs_spec())
         with pytest.raises(WhatIfError, match="owned, not metered"):

@@ -7,12 +7,9 @@ differential style:
   byte-identical — per-job completion times, billed consumption and the
   reliability payload — to an uninterrupted run, across every runner
   family, with and without a failure model, snapshotting at arbitrary
-  hypothesis-chosen instants;
-* **differential**: prefix-shared sweeps (`share_prefix=True`) equal cold
-  sweeps point for point, at the run_experiment and ``Simulation.fork()``
-  levels, for B×R grids and for every scheduler ref; and a pickle fork
-  equals a ``copy.deepcopy`` fork (the serializer it replaced) taken at
-  the same instant;
+  hypothesis-chosen instants, and before a late workflow's TRE exists;
+* **differential**: a pickle fork equals a ``copy.deepcopy`` fork (the
+  serializer it replaced) taken at the same instant;
 * **sharing**: the jobs COMPLETED at the snapshot instant are the same
   objects in the original and in every restored branch, and stay frozen
   while all of them run on; every other job is a copy;
@@ -31,28 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_job, make_trace
-from repro.api.run import (
-    RETARGETABLE_SWEEP_PATHS,
-    SHARED_PREFIX_MIN_FRACTION,
-    Simulation,
-    _resolve_share,
-    branch_instant,
-    fork_experiment_branches,
-    materialize_workload,
-    run_experiment,
-    sweep_prefix_shareable,
-)
-from repro.api.spec import ExperimentSpec
 from repro.core.policies import ResourceManagementPolicy
-from repro.experiments.ablations import workload_ref_for_bundle
-from repro.experiments.cache import NullCache
 from repro.experiments.config import nasa_bundle
 from repro.provisioning.runner import PooledQueueLiveRun
 from repro.reliability.failures import ExponentialFailures
 from repro.scheduling.firstfit import FirstFitScheduler
 from repro.scheduling.sjf import SjfScheduler
 from repro.simkit.snapshot import SnapshotAliasError
-from repro.systems.base import LiveRun, WorkloadBundle
+from repro.systems.base import WorkloadBundle
 from repro.systems.drp import DrpHtcLiveRun, DrpMtcLiveRun, DrpPooledLiveRun
 from repro.systems.dsp_runner import (
     DawningCloudHtcLiveRun,
@@ -169,6 +152,36 @@ def test_restore_then_run_is_byte_identical(name, kind, build, with_failures,
     # exactly like the run that was never touched
     assert _finalize(live) == cold
     assert _finalize(restored) == cold
+
+
+@pytest.mark.parametrize("with_failures", [False, True],
+                         ids=["plain", "failures"])
+def test_snapshot_before_the_tre_exists(with_failures):
+    """A workflow submitted at 1 h: at 1800 s its TRE's creation (and the
+    injector's attachment) are still events on the heap, so the snapshot
+    carries them, and the original and two restores all finish like the
+    run that was never touched."""
+    bundle = WorkloadBundle.from_workflow(
+        "late-wf",
+        fork_join(width=6, mean_runtime=40.0, seed=2, submit_time=HOUR),
+    )
+    failures = _failures() if with_failures else None
+
+    def build():
+        return DawningCloudMtcLiveRun(
+            bundle, ResourceManagementPolicy.for_mtc(4, 8.0), capacity=64,
+            failures=failures, seed=3,
+        )
+
+    cold = _finalize(build())
+    live = build()
+    live.advance_before(1800.0)
+    with pytest.raises(KeyError):
+        live.cloud.tre(live.name)
+    snapshot = live.snapshot()
+    branches = [snapshot.restore(), snapshot.restore()]
+    for world in (live, *branches):
+        assert _finalize(world) == cold
 
 
 def test_fork_branches_are_disjoint():
@@ -343,169 +356,3 @@ def test_branches_share_exactly_the_completed_jobs(name, kind, build,
         world.complete()
         world.finish()
     assert _execution(completed) == frozen
-
-
-# --------------------------------------------------------------------- #
-# differential: prefix-shared sweeps == cold sweeps
-# --------------------------------------------------------------------- #
-def _branched_equals_cold(spec: dict) -> None:
-    es = ExperimentSpec.from_dict(spec)
-    cold = [r.to_dict() for r in run_experiment(es, 0, share_prefix=False)]
-    warm = [r.to_dict() for r in run_experiment(es, 0, share_prefix=True)]
-    assert warm == cold
-
-
-def test_htc_sweep_branched_equals_cold():
-    _branched_equals_cold({
-        "name": "htc-grid",
-        "workloads": [workload_ref_for_bundle(_htc_bundle())],
-        "systems": [{"runner": "dawningcloud",
-                     "policy": {"name": "paper-htc"},
-                     "params": {"capacity": 64}}],
-        "sweep": {"policy.params.initial_nodes": [4, 8],
-                  "policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
-    })
-
-
-def test_mtc_sweep_branched_equals_cold():
-    _branched_equals_cold({
-        "name": "mtc-grid",
-        "workloads": [{"generator": "fork-join",
-                       "params": {"width": 6, "mean_runtime": 40.0}}],
-        "systems": [{"runner": "dawningcloud",
-                     "policy": {"name": "paper-mtc"},
-                     "params": {"capacity": 64}}],
-        "sweep": {"policy.params.initial_nodes": [2, 4],
-                  "policy.params.threshold_ratio": [4.0, 8.0]},
-    })
-
-
-def _late_trace_spec(scheduler: str) -> dict:
-    """60 jobs whose first arrival lands 40% into a 24 h horizon, so
-    ``share_prefix="auto"`` branches."""
-    start = 9.6 * HOUR
-    return {
-        "name": "late-trace",
-        "workloads": [{"generator": "inline-trace", "params": {
-            "name": "late", "machine_nodes": 32, "duration": 24 * HOUR,
-            "jobs": [[i, start + 90.0 * i, 1 + i % 8, 1800.0 + 600.0 * (i % 5)]
-                     for i in range(1, 61)],
-        }}],
-        "systems": [{"runner": "dawningcloud",
-                     "policy": {"name": "paper-htc",
-                                "params": {"initial_nodes": 4}},
-                     "scheduler": scheduler,
-                     "params": {"capacity": 40}}],
-        "sweep": {"policy.params.threshold_ratio": [1.0, 1.5, 2.0]},
-    }
-
-
-@pytest.mark.parametrize(
-    "scheduler", ["first-fit", "sjf", "easy-backfill", "fcfs"]
-)
-def test_auto_shared_branches_keep_the_scheduler(scheduler):
-    spec = ExperimentSpec.from_dict(_late_trace_spec(scheduler))
-    bundle = materialize_workload(spec.workloads[0])
-    assert _resolve_share("auto", bundle)
-    cold = [r.to_dict() for r in run_experiment(spec, 0, share_prefix=False)]
-    auto = [r.to_dict() for r in run_experiment(spec, 0)]
-    assert auto == cold
-
-
-def test_scheduler_sweep_splits_the_grid_into_groups():
-    spec = _late_trace_spec("first-fit")
-    spec["sweep"]["scheduler"] = ["sjf", {"name": "easy-backfill"}]
-    _branched_equals_cold(spec)
-
-
-def test_grid_warms_up_once_per_b_and_forks_per_r(monkeypatch):
-    counts = {"warm-ups": 0, "forks": 0}
-    advance, fork = LiveRun.advance_before, LiveRun.fork
-
-    def counted_advance(self, time):
-        counts["warm-ups"] += 1
-        return advance(self, time)
-
-    def counted_fork(self):
-        counts["forks"] += 1
-        return fork(self)
-
-    monkeypatch.setattr(LiveRun, "advance_before", counted_advance)
-    monkeypatch.setattr(LiveRun, "fork", counted_fork)
-    spec = _late_trace_spec("first-fit")
-    spec["sweep"]["policy.params.initial_nodes"] = [4, 8]
-    branches = fork_experiment_branches(ExperimentSpec.from_dict(spec))
-    assert len(branches) == 6
-    assert counts == {"warm-ups": 2, "forks": 4}
-    assert [b.point["policy.params.initial_nodes"] for b in branches] == [
-        4, 4, 4, 8, 8, 8,
-    ]
-
-
-def _sweep_spec() -> dict:
-    return {
-        "name": "branch-diff",
-        "workloads": [{"generator": "fork-join",
-                       "params": {"width": 5, "mean_runtime": 30.0}}],
-        "systems": [{"runner": "dawningcloud",
-                     "policy": {"name": "paper-mtc",
-                                "params": {"initial_nodes": 3}},
-                     "params": {"capacity": 64}}],
-        "seeds": [0, 1],
-        "sweep": {"policy.params.threshold_ratio": [4.0, 8.0, 12.0]},
-    }
-
-
-def test_run_experiment_branched_equals_cold():
-    spec = ExperimentSpec.from_dict(_sweep_spec())
-    cold = [r.to_dict() for r in run_experiment(spec, 0, share_prefix=False)]
-    warm = [r.to_dict() for r in run_experiment(spec, 0, share_prefix=True)]
-    assert warm == cold
-
-
-def test_simulation_fork_branches_equal_cold_points():
-    spec = _sweep_spec()
-    cold = run_experiment(
-        ExperimentSpec.from_dict(spec), 0, share_prefix=False
-    )
-    sim = Simulation(spec, seed=0, cache=NullCache())
-    branches = sim.fork()
-    assert [b.point for b in branches] == [
-        r.point for r in cold if r.seed == 0
-    ]
-    forked = [b.run().to_payload() for b in branches]
-    assert forked == [dict(r.metrics) for r in cold if r.seed == 0]
-
-
-# --------------------------------------------------------------------- #
-# detection and the profitability guard
-# --------------------------------------------------------------------- #
-def test_generator_touching_sweeps_are_not_shareable():
-    spec = _sweep_spec()
-    spec["sweep"]["workload.params.width"] = [3, 5]
-    es = ExperimentSpec.from_dict(spec)
-    with pytest.raises(ValueError, match="workload.params.width"):
-        fork_experiment_branches(es)
-
-
-def test_build_shaping_sweeps_are_not_shareable():
-    spec = _sweep_spec()
-    spec["sweep"] = {"policy.params.initial_nodes": [2, 4]}
-    assert "policy.params.initial_nodes" not in RETARGETABLE_SWEEP_PATHS
-    assert not sweep_prefix_shareable(ExperimentSpec.from_dict(spec))
-
-
-def test_auto_guard_shares_only_long_prefixes():
-    early = _htc_bundle()  # first submission at t=0
-    assert _resolve_share("auto", early) is False
-
-    late_jobs = [
-        make_job(1, submit=2 * HOUR, size=4, runtime=1800),
-        make_job(2, submit=2 * HOUR + 60, size=2, runtime=600),
-    ]
-    late = WorkloadBundle.from_trace("late", make_trace(late_jobs))
-    assert branch_instant(late) / late.horizon >= SHARED_PREFIX_MIN_FRACTION
-    assert _resolve_share("auto", late) is True
-    # and the forced modes ignore the guard entirely
-    assert _resolve_share(True, early) is True
-    assert _resolve_share(False, late) is False
