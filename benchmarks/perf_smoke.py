@@ -1,27 +1,41 @@
 """Perf-trajectory smoke benchmark with a regression gate.
 
 CI runs this on every push (see ``.github/workflows/ci.yml``), uploads the
-JSON as an artifact, *and* compares it against the committed ``BENCH_0.json``
-— the first point of the repository's performance trajectory — failing the
-job when any tracked scenario's wall time regresses by more than
-``--max-regression`` (default 25%).  The tracked hot paths:
+JSON as an artifact, *and* gates it against the committed ``BENCH_2.json``
+with ``--normalize-by-engine``: each tracked wall time is rescaled by the
+machine-speed factor the engine bench measures, and the job fails when
+one regresses by more than ``--max-regression`` (default 25%).  The
+tracked timings:
 
 * the **simulation engine** — raw discrete-event throughput
   (events/second) under the timer-churn pattern every system produces;
+  under ``--normalize-by-engine`` it is the yardstick, not gated itself;
 * the **cold (B, R) sweeps** (Figures 9 and 10) — 16 full two-week
   DawningCloud simulations each, the workload the provisioning kernel's
-  incremental accounting and the idle-gap fast-forward are built for.
+  incremental accounting and the idle-gap fast-forward are built for;
+* ``hybrid-kernel`` — the fluid tier against the exact engine on one
+  uncontended month (payload identity and a >= 3x speedup asserted);
+* ``million-node-year`` — the scale scenario end to end (< 30 s
+  asserted);
+* ``serving-facade`` — a serving session: ingest, advance, fork and an
+  empty-delta what-if (byte identity asserted).
+
+Two asserted checks ride along untracked: ``no_failure_fast_path`` (a
+run without a failure model carries no reliability machinery) and
+``supervision_overhead`` (supervised orchestration stays under 50 ms per
+scenario).
 
 Absolute wall times are machine-dependent; the gate therefore compares a
-fresh run on the *same* machine/CI-runner class against the committed
-baseline and uses a generous threshold so runner jitter does not trip it,
+fresh run against the committed baseline after normalizing for machine
+speed, with a generous threshold so runner jitter does not trip it,
 while a real regression (an accidentally disabled fast path roughly
 doubles these timings) fails loudly.  See ``docs/performance.md``.
 
 Usage::
 
     python benchmarks/perf_smoke.py [--out BENCH_pr.json]
-        [--baseline BENCH_0.json [--max-regression 0.25]]
+        [--baseline BENCH_2.json [--max-regression 0.25]
+         [--normalize-by-engine]]
 """
 
 from __future__ import annotations
@@ -331,7 +345,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline",
         default=None,
-        help="committed BENCH_*.json to gate against (e.g. BENCH_0.json)",
+        help="committed BENCH_*.json to gate against (e.g. BENCH_2.json)",
     )
     parser.add_argument(
         "--max-regression",

@@ -88,7 +88,8 @@ def million_node_year(
         if spec is not None and not run.fluid_applied:
             raise RuntimeError(
                 "million-node-year expected the fluid tier to engage; "
-                "an eligibility gate regressed"
+                f"an eligibility gate regressed ({system}: "
+                f"{run.fluid_decline_reason})"
             )
         systems[system] = metrics.to_payload()
     return {

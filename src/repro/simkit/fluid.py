@@ -98,12 +98,12 @@ def try_fluid_run(run: "FixedLiveRun") -> bool:
     Returns True when the fluid tier applied (the run is advanced to its
     horizon and carries exact-equivalent state); False when any gate
     failed — the caller then injects the deferred workload and runs the
-    exact engine.  Only structural state is touched on False.
+    exact engine.  Only structural state is touched on False, and
+    ``run.fluid_decline_reason`` names the gate that refused.
     """
     reason = fluid_ineligible_reason(run)
     if reason is not None:
-        STATS["fallbacks"] += 1
-        return False
+        return _decline(run, reason)
 
     trace = run._deferred_trace
     spec: KernelSpec = run._kernel
@@ -118,14 +118,12 @@ def try_fluid_run(run: "FixedLiveRun") -> bool:
     runtimes = arrays.runtime
     n = len(submit)
     if n and int(sizes.max()) > nodes:
-        STATS["fallbacks"] += 1
-        return False
+        return _decline(run, "a job is wider than the machine")
 
     starts = grid_starts(submit, timer.interval, timer._epoch)
     finishes = starts + runtimes
     if not demand_fits(starts, finishes, sizes, nodes):
-        STATS["fallbacks"] += 1
-        return False
+        return _decline(run, "peak node demand exceeds the machine")
 
     if spec.materialize or run.injector is not None:
         # Full fidelity: reconstruct the exact engine's world at the
@@ -147,6 +145,12 @@ def try_fluid_run(run: "FixedLiveRun") -> bool:
     run.fluid_applied = True
     STATS["applied"] += 1
     return True
+
+
+def _decline(run: "FixedLiveRun", reason: str) -> bool:
+    run.fluid_decline_reason = reason
+    STATS["fallbacks"] += 1
+    return False
 
 
 def _apply_materialized(

@@ -16,7 +16,10 @@ bit for bit; ``tests/test_differential_kernel.py`` keeps those scalar
 loops as oracles and asserts it.  The contention gate,
 :func:`demand_fits`, answers exactly what the :func:`peak_concurrency`
 sweep would, but from a linear-time upper bound whenever that bound
-already clears the machine.
+already clears the machine.  :func:`grid_starts` and that bound run in
+blocks of :data:`BLOCK_ROWS` rows: each writes into one full-size result
+and reuses one set of block-sized scratch arrays, so a pass over
+millions of rows does not fault in fresh full-size temporaries.
 
 Selection (lower to higher precedence):
 
@@ -113,27 +116,65 @@ def resolve_kernel_spec(
 # --------------------------------------------------------------------- #
 # column operations
 # --------------------------------------------------------------------- #
+#: Rows per block of the blocked column passes (:func:`grid_starts` and
+#: :func:`_windowed_demand_bound`).  Their temporaries hold one block and
+#: are reused block after block, so a pass over millions of rows touches
+#: no fresh memory beyond its full-size result.
+BLOCK_ROWS = 1 << 15
+
+
+def _blocks(n: int, *dtypes):
+    """``(rows, scratch)`` per block of at most :data:`BLOCK_ROWS` rows
+    covering ``[0, n)``: ``rows`` is the block's slice, ``scratch`` one
+    uninitialised array per dtype, allocated once and cut to the block."""
+    step = BLOCK_ROWS
+    buffers = [np.empty(min(n, step), dtype=dtype) for dtype in dtypes]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield slice(lo, hi), [buffer[: hi - lo] for buffer in buffers]
+
+
 def _grid_indices(
-    submit: np.ndarray, interval: float, epoch: float
-) -> np.ndarray:
-    """Per-job first-eligible-tick indices (see :func:`grid_starts`)."""
-    n = np.ceil((submit - epoch) / interval).astype(np.int64)
+    submit: np.ndarray,
+    interval: float,
+    epoch: float,
+    out: np.ndarray,
+    n: np.ndarray,
+    below: np.ndarray,
+    mask: np.ndarray,
+) -> None:
+    """One block of :func:`grid_starts`, written into ``out``.
+
+    ``n`` receives the per-job first-eligible-tick indices; ``below`` and
+    ``mask`` are scratch.  ``out`` doubles as the float scratch: the last
+    upward guard pass leaves ``epoch + n*interval`` in it, the result.
+    """
+    np.subtract(submit, epoch, out=out)
+    np.divide(out, interval, out=out)
+    np.ceil(out, out=out)
+    np.copyto(n, out, casting="unsafe")
     np.maximum(n, 1, out=n)
     # The float-edge guards: the ceil candidate is corrected against the
     # product form in both directions.  Each masked pass moves every
     # off-by-one index one step; they converge in <= 2 passes because
     # ceil is off by at most one ulp-step.
     while True:
-        down = (n > 1) & (epoch + (n - 1) * interval >= submit)
-        if not down.any():
+        np.subtract(n, 1, out=below)
+        np.multiply(below, interval, out=out)
+        np.add(epoch, out, out=out)
+        np.greater_equal(out, submit, out=mask)
+        # below = n - 1 is nonzero exactly where n > 1
+        np.logical_and(mask, below, out=mask)
+        if not mask.any():
             break
-        n[down] -= 1
+        np.subtract(n, mask, out=n)
     while True:
-        up = epoch + n * interval < submit
-        if not up.any():
+        np.multiply(n, interval, out=out)
+        np.add(epoch, out, out=out)
+        np.less(out, submit, out=mask)
+        if not mask.any():
             break
-        n[up] += 1
-    return n
+        np.add(n, mask, out=n)
 
 
 def grid_starts(
@@ -152,15 +193,16 @@ def grid_starts(
     exact float the timer computes in
     :meth:`~repro.simkit.timers.PeriodicTimer._arm`, and the elementwise
     ``+``/``*`` below are IEEE-identical to the scalar ops, so the
-    returned instants equal the exact engine's bit for bit.
+    returned instants equal the exact engine's bit for bit.  The indices
+    stay int64 (a float index stops stepping once ``q - 1.0 == q``).
     """
     submit = np.ascontiguousarray(submit, dtype=np.float64)
     interval = float(interval)
     epoch = float(epoch)
-    # a separate function, so its masks are freed before the result is
-    # allocated (the pattern fluid-scale's peak-RSS baseline measures)
-    n = _grid_indices(submit, interval, epoch)
-    return epoch + n * interval
+    starts = np.empty_like(submit)
+    for rows, scratch in _blocks(len(submit), np.int64, np.int64, bool):
+        _grid_indices(submit[rows], interval, epoch, starts[rows], *scratch)
+    return starts
 
 
 def peak_concurrency(
@@ -212,14 +254,22 @@ def _windowed_demand_bound(
         # every instant equal (the sweep's own peak), or no usable grid
         return int(sizes.sum())
 
-    def window(times: np.ndarray) -> np.ndarray:
-        index = ((times - lo) / width).astype(np.int64)
-        return np.minimum(index, n, out=index)
+    def window(times: np.ndarray, scaled: np.ndarray, index: np.ndarray):
+        """Each time's window index, into ``index`` (``scaled`` is scratch)."""
+        np.subtract(times, lo, out=scaled)
+        np.divide(scaled, width, out=scaled)
+        np.copyto(index, scaled, casting="unsafe")
+        np.minimum(index, n, out=index)
 
     # +size from a job's start window, -size one past its finish window
     level = np.zeros(n + 2, dtype=np.int64)
-    np.add.at(level, window(starts), sizes)
-    np.subtract.at(level, window(finishes) + 1, sizes)
+    for rows, (scaled, index) in _blocks(n, np.float64, np.int64):
+        block = sizes[rows]
+        window(starts[rows], scaled, index)
+        np.add.at(level, index, block)
+        window(finishes[rows], scaled, index)
+        index += 1
+        np.subtract.at(level, index, block)
     np.cumsum(level, out=level)
     return int(level.max())
 

@@ -79,6 +79,8 @@ class FixedLiveRun(LiveRun):
         self._fluid_summary = None
         #: True once the fluid tier evolved this run in closed form.
         self.fluid_applied = False
+        #: Why the fluid tier declined this run (None unless it did).
+        self.fluid_decline_reason: Optional[str] = None
         self.system = system
         self.name = bundle.name
         self.kind = bundle.kind

@@ -306,7 +306,8 @@ class TraceArrays:
         if len(self) and float(self.submit.min()) < 0:
             bad = int(self.job_id[int(np.argmin(self.submit))])
             raise ValueError(f"job {bad}: submit_time must be >= 0")
-        if len(np.unique(self.job_id)) != len(self):
+        ids = np.sort(self.job_id)
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate job ids")
         codes = self.task_type_code
         if len(self) and not (

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.simkit import kernel as kernelmod
@@ -126,6 +126,13 @@ def bound_above_peak_bundle() -> WorkloadBundle:
     return WorkloadBundle.from_trace("bound-above-peak", trace)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Seven-row kernel blocks: every blocked column pass crosses many
+    block boundaries and ends on a partial block."""
+    monkeypatch.setattr(kernelmod, "BLOCK_ROWS", 7)
+
+
 def world_fingerprint(run: FixedLiveRun) -> dict:
     """Every observable the exact engine produces, for deep comparison."""
     server = run.server
@@ -155,6 +162,7 @@ class TestUncontendedBackends:
         hybrid = FixedLiveRun(bundle, system, kernel="numpy")
         hybrid.complete()
         assert hybrid.fluid_applied
+        assert hybrid.fluid_decline_reason is None
         assert world_fingerprint(hybrid) == world_fingerprint(exact)
         pe, ph = exact.finish(), hybrid.finish()
         assert ph.to_payload() == pe.to_payload()
@@ -165,6 +173,12 @@ class TestUncontendedBackends:
             assert hybrid.provision.usage_events() == (
                 exact.provision.usage_events()
             )
+
+    @pytest.mark.parametrize("system", ["DCS", "SSP"])
+    def test_fluid_world_equals_exact_world_in_small_blocks(
+        self, system, small_blocks
+    ):
+        self.test_fluid_world_equals_exact_world(system)
 
     @pytest.mark.parametrize("system", ["DCS", "SSP"])
     def test_fluid_engages_where_only_the_exact_peak_fits(self, system):
@@ -199,8 +213,18 @@ class TestFallbackIdentity:
         hybrid = FixedLiveRun(bundle, "DCS", kernel="numpy")
         hybrid.complete()
         assert not hybrid.fluid_applied
+        assert hybrid.fluid_decline_reason == (
+            "peak node demand exceeds the machine"
+        )
         assert world_fingerprint(hybrid) == world_fingerprint(exact)
         assert hybrid.finish().to_payload() == exact.finish().to_payload()
+
+    def test_million_node_year_names_the_declining_gate(self):
+        from repro.experiments.perfscale import million_node_year
+
+        # ~7 jobs of up to 64 nodes at once: the peak exceeds 64 nodes
+        with pytest.raises(RuntimeError, match="DCS: peak node demand"):
+            million_node_year(seed=0, nodes=64, n_jobs=200, years=0.01)
 
     def test_failures_beyond_horizon_keep_fluid_on(self):
         from repro.reliability.failures import ExponentialFailures
@@ -227,6 +251,9 @@ class TestFallbackIdentity:
         )
         pe, ph = exact.run(), hybrid.run()
         assert not hybrid.fluid_applied
+        assert hybrid.fluid_decline_reason == (
+            "a failure can fire within the horizon"
+        )
         assert ph.to_payload() == pe.to_payload()
         assert ph.to_payload()["reliability"]["failures"] > 0
 
@@ -305,6 +332,20 @@ class TestKernelOps:
             assert (n >= 1).all()
             prev = epoch + (n - 1) * interval
             assert ((n == 1) | (prev < inputs)).all()
+
+    def test_grid_starts_matches_scalar_oracle_bitwise_in_small_blocks(
+        self, small_blocks
+    ):
+        self.test_grid_starts_matches_scalar_oracle_bitwise()
+
+    def test_grid_starts_spans_default_blocks_bitwise(self):
+        # two full blocks of the default size and a three-row tail
+        rows = 2 * kernelmod.BLOCK_ROWS + 3
+        rng = np.random.default_rng(4)
+        submit = np.sort(rng.uniform(0.0, 3e7, rows))
+        submit[::97] = np.rint(submit[::97] / 60.0) * 60.0  # on the grid
+        reference = grid_starts_oracle(submit, 60.0, 0.0)
+        assert grid_starts(submit, 60.0).tobytes() == reference.tobytes()
 
     def test_grid_starts_matches_live_timer(self):
         """The closed form against the actual PeriodicTimer, instant by
@@ -386,6 +427,14 @@ def demand_sets(draw):
     return starts, starts + lengths, sizes
 
 
+def assert_fits_equals_sweep(starts, finishes, sizes) -> None:
+    peak = peak_concurrency(starts, finishes, sizes)
+    for nodes in range(peak + 2):
+        assert demand_fits(starts, finishes, sizes, nodes) == (
+            peak <= nodes
+        ), nodes
+
+
 class TestDemandFits:
     """``demand_fits`` answers exactly what the sweep line would."""
 
@@ -396,12 +445,17 @@ class TestDemandFits:
     @example((np.full(5, 7.5), np.full(5, 7.5), np.arange(1, 6))
              ).via("every instant equal")
     def test_equals_the_sweep_for_every_machine_size(self, jobs):
-        starts, finishes, sizes = jobs
-        peak = peak_concurrency(starts, finishes, sizes)
-        for nodes in range(peak + 2):
-            assert demand_fits(starts, finishes, sizes, nodes) == (
-                peak <= nodes
-            ), nodes
+        assert_fits_equals_sweep(*jobs)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(demand_sets())
+    def test_equals_the_sweep_for_every_machine_size_in_small_blocks(
+        self, small_blocks, jobs
+    ):
+        assert_fits_equals_sweep(*jobs)
 
     def test_the_bound_overshoots_on_the_three_job_world(self):
         # what makes the world-level test above decide on the sweep

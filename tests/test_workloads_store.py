@@ -221,6 +221,31 @@ class TestTraceArraysRoundTrip:
                 machine_nodes=4,
                 duration=10.0,
             )
+        # adjacent neither in row order nor after the (submit, id) sort
+        with pytest.raises(ValueError, match="duplicate"):
+            Trace.from_arrays(
+                "bad",
+                TraceArrays(
+                    job_id=np.array([3, 1, 3]),
+                    submit=np.array([0.0, 1.0, 2.0]),
+                    size=np.array([1, 1, 1]),
+                    runtime=np.array([1.0, 1.0, 1.0]),
+                ),
+                machine_nodes=4,
+                duration=10.0,
+            )
+        descending = Trace.from_arrays(
+            "ok",
+            TraceArrays(
+                job_id=np.array([9, 5, 2, 0]),
+                submit=np.array([0.0, 1.0, 2.0, 3.0]),
+                size=np.array([1, 1, 1, 1]),
+                runtime=np.array([1.0, 1.0, 1.0, 1.0]),
+            ),
+            machine_nodes=4,
+            duration=10.0,
+        )
+        assert descending.arrays.job_id.tolist() == [9, 5, 2, 0]
         with pytest.raises(ValueError, match="exceed machine"):
             Trace.from_arrays(
                 "bad",
