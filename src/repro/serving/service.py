@@ -42,6 +42,7 @@ running engine.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.api.spec import ServiceSpec
@@ -283,6 +284,8 @@ class SimulationService:
         """Execute everything up to and including ``time``; returns the
         number of events executed.  Resumable and monotonic."""
         self._check_open()
+        if not math.isfinite(time):
+            raise ValueError(f"cannot advance to t={time}: not a finite time")
         if time < self.engine.now:
             raise ValueError(
                 f"cannot advance to t={time}; clock is already at "

@@ -45,6 +45,7 @@ replays from the same instant.  Permanent failures surface as
 from __future__ import annotations
 
 import gc
+import math
 import time as _time
 from dataclasses import dataclass
 from functools import partial
@@ -165,9 +166,11 @@ class WhatIfQuery:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
+        # written so that NaN fails too: every comparison with NaN is False
+        if not 0 < self.horizon_s < math.inf:
             raise ValueError(
-                f"what-if horizon_s must be positive, got {self.horizon_s}"
+                f"what-if horizon_s must be positive and finite, "
+                f"got {self.horizon_s}"
             )
 
 

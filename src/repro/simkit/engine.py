@@ -130,7 +130,7 @@ class SimulationEngine:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule at t={time} (clock is already at {self._now})"
             )
@@ -161,7 +161,7 @@ class SimulationEngine:
         entries = []
         events = []
         for time, fn, args in items:
-            if time < now:
+            if not time >= now:  # NaN fails too
                 raise SimulationError(
                     f"cannot schedule at t={time} (clock is already at {now})"
                 )

@@ -32,8 +32,10 @@ strictly beyond the horizon with no checkpoint policy stretching walls,
 and the peak node demand — computed with starts-before-finishes tie
 breaking, an overestimate — must fit the machine, so no queueing decision
 ever arises (:func:`~repro.simkit.kernel.demand_fits` decides that from
-a linear-time upper bound and sorts the events only when the bound does
-not clear the machine).  Anything else returns a reason and the caller
+the grid starts, which are non-decreasing because the trace is in submit
+order: first from per-window start sums, then from a windowed
+scatter-add bound, and it sorts the events only when neither bound
+clears the machine).  Anything else returns a reason and the caller
 falls back to the exact engine (the deferred trace is injected with
 identical event sequence numbers, so the fallback is byte-identical to a
 never-hybrid run).  MTC/workflow runs, elastic (DawningCloud/DRP)

@@ -15,11 +15,13 @@ so the results equal the scalar computation the exact engine performs
 bit for bit; ``tests/test_differential_kernel.py`` keeps those scalar
 loops as oracles and asserts it.  The contention gate,
 :func:`demand_fits`, answers exactly what the :func:`peak_concurrency`
-sweep would, but from a linear-time upper bound whenever that bound
-already clears the machine.  :func:`grid_starts` and that bound run in
-blocks of :data:`BLOCK_ROWS` rows: each writes into one full-size result
-and reuses one set of block-sized scratch arrays, so a pass over
-millions of rows does not fault in fresh full-size temporaries.
+sweep would, from the cheapest of three stages that clears the machine:
+per-window start sums, then a windowed scatter-add bound, then the
+sweep itself.  :func:`grid_starts` and the column passes of the bounds
+run in blocks of :data:`BLOCK_ROWS` rows: each writes into at most one
+full-size result and reuses one set of block-sized scratch arrays, so a
+pass over millions of rows does not fault in fresh full-size
+temporaries.
 
 Selection (lower to higher precedence):
 
@@ -37,6 +39,7 @@ and every golden pin runs against it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
@@ -117,7 +120,7 @@ def resolve_kernel_spec(
 # column operations
 # --------------------------------------------------------------------- #
 #: Rows per block of the blocked column passes (:func:`grid_starts` and
-#: :func:`_windowed_demand_bound`).  Their temporaries hold one block and
+#: the gate's bounds).  Their temporaries hold one block and
 #: are reused block after block, so a pass over millions of rows touches
 #: no fresh memory beyond its full-size result.
 BLOCK_ROWS = 1 << 15
@@ -274,15 +277,83 @@ def _windowed_demand_bound(
     return int(level.max())
 
 
+def _start_window_bound(
+    starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray
+) -> Optional[int]:
+    """An upper bound on :func:`peak_concurrency` from per-window start
+    sums, for ``starts`` in non-decreasing order; None where it cannot
+    help.
+
+    Let D be the longest ``finish - start`` as float64 computes it, and W
+    the smallest power of two above D.  Every job's real duration is
+    below W: rounding is monotone and W is a float, so a real duration of
+    W or more would round to at least W > D.  The edges are the multiples
+    of W above the first start, up to the last; each is an integer below
+    2**53 times a power of two, so it is exact, and consecutive
+    edges lie at least W apart as real numbers.  They cut the starts into
+    windows (the first and last unbounded).  A job running at an instant
+    x started in ``(x - W, x]``, which meets x's window and at most the
+    one before it, so no instant sees more demand than the fullest pair
+    of adjacent windows: no slack window is needed, because no edge is
+    rounded.  No row gets a window index: ``searchsorted`` of the edges
+    into the sorted starts gives each window's first row, and
+    ``add.reduceat`` its summed sizes.
+
+    Hands over (None) when D is zero or not finite, when the multipliers
+    leave the exact integer range, or when there would be more windows
+    than jobs (a subnormal D, or jobs far apart).
+    """
+    n = len(starts)
+    longest = np.float64(0.0)
+    for rows, (length,) in _blocks(n, np.float64):
+        np.subtract(finishes[rows], starts[rows], out=length)
+        longest = np.maximum(longest, length.max())  # keeps a NaN
+    if not 0.0 < longest < np.inf:
+        return None
+    _, exponent = math.frexp(longest)  # longest < 2**exponent
+    if exponent > 1023:
+        return None
+    width = math.ldexp(1.0, exponent)
+    first = float(starts[0]) / width
+    last = float(starts[-1]) / width
+    if not (-(2.0**53) < first and last < 2.0**53 and last - first < n - 1):
+        return None
+    edges = np.arange(math.floor(first) + 1, math.floor(last) + 1) * width
+    rows = np.searchsorted(starts, edges)
+    # each window's first row; a window past the last start is empty
+    heads = np.concatenate(([0], rows[rows < n]))
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    sums = np.add.reduceat(sizes, heads)
+    # reduceat yields one row's size, not 0, for an empty window
+    sums[:-1][heads[1:] == heads[:-1]] = 0
+    if len(sums) == 1:
+        return int(sums[0])
+    return int((sums[1:] + sums[:-1]).max())
+
+
 def demand_fits(
     starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray, nodes: int
 ) -> bool:
-    """``peak_concurrency(starts, finishes, sizes) <= nodes``, bound first.
+    """``peak_concurrency(starts, finishes, sizes) <= nodes``, cheapest
+    stage first.
 
-    The windowed bound never undercuts the exact peak, so a bound that
-    clears the machine decides alone; only a bound above ``nodes`` pays
-    for the exact sweep's lexsort.
+    ``starts`` must be non-decreasing (the fluid tier passes the grid
+    starts of a trace in submit order, and :func:`grid_starts` is
+    monotone); anything else raises ``ValueError``.  Three stages, each
+    an upper bound on the exact peak, so a stage that clears the machine
+    decides alone:
+
+    1. :func:`_start_window_bound`: per-window start sums over windows
+       wider than the longest job, one read of the columns;
+    2. :func:`_windowed_demand_bound`: n windows over the whole span,
+       each job scattered into the windows it runs through;
+    3. the exact :func:`peak_concurrency` sweep, a lexsort of 2n events.
     """
+    if not (starts[1:] >= starts[:-1]).all():
+        raise ValueError("demand_fits needs starts in non-decreasing order")
+    bound = _start_window_bound(starts, finishes, sizes)
+    if bound is not None and bound <= nodes:
+        return True
     if _windowed_demand_bound(starts, finishes, sizes) <= nodes:
         return True
     return peak_concurrency(starts, finishes, sizes) <= nodes

@@ -92,13 +92,16 @@ class Job:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"job {self.job_id}: size must be >= 1, got {self.size}")
-        if self.runtime < 0:
+        # written so that NaN fails too: every comparison with NaN is False
+        if not 0 <= self.runtime < math.inf:
             raise ValueError(
-                f"job {self.job_id}: runtime must be >= 0, got {self.runtime}"
+                f"job {self.job_id}: runtime must be finite and >= 0, "
+                f"got {self.runtime}"
             )
-        if self.submit_time < 0:
+        if not 0 <= self.submit_time < math.inf:
             raise ValueError(
-                f"job {self.job_id}: submit_time must be >= 0, got {self.submit_time}"
+                f"job {self.job_id}: submit_time must be finite and >= 0, "
+                f"got {self.submit_time}"
             )
         self.dependencies = tuple(self.dependencies)
 
@@ -300,12 +303,18 @@ class TraceArrays:
         if len(self) and int(self.size.min()) <= 0:
             bad = int(self.job_id[int(np.argmin(self.size))])
             raise ValueError(f"job {bad}: size must be >= 1")
-        if len(self) and float(self.runtime.min()) < 0:
-            bad = int(self.job_id[int(np.argmin(self.runtime))])
-            raise ValueError(f"job {bad}: runtime must be >= 0")
-        if len(self) and float(self.submit.min()) < 0:
-            bad = int(self.job_id[int(np.argmin(self.submit))])
-            raise ValueError(f"job {bad}: submit_time must be >= 0")
+        for name, column in (("runtime", self.runtime),
+                             ("submit_time", self.submit)):
+            # min() and max() propagate NaN, so one test of each catches
+            # a NaN, a negative value or an infinity anywhere
+            if len(self) and not (
+                0 <= float(column.min()) and float(column.max()) < math.inf
+            ):
+                bad = int(np.flatnonzero(~(column >= 0) | (column == math.inf))[0])
+                raise ValueError(
+                    f"job {int(self.job_id[bad])}: {name} must be finite "
+                    f"and >= 0, got {float(column[bad])}"
+                )
         ids = np.sort(self.job_id)
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate job ids")

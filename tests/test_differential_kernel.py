@@ -396,12 +396,16 @@ class TestKernelOps:
 
 @st.composite
 def demand_sets(draw):
-    """(starts, finishes, sizes) of up to 40 jobs in one of four shapes:
-    continuous times, a coarse integer grid (ties, touching and
-    zero-length jobs), offsets near 1e15 (an ulp of 0.125) or one
-    instant shared by every start and finish."""
+    """(starts, finishes, sizes) of up to 40 jobs in stable start order,
+    as the fluid tier passes them, in one of five shapes: continuous
+    times, continuous with one job ten times longer than the longest (the
+    start-window stage overshoots and a later stage decides), a coarse
+    integer grid (ties, touching and zero-length jobs), offsets near 1e15
+    (an ulp of 0.125) or one instant shared by every start and finish."""
     n = draw(st.integers(0, 40))
-    shape = draw(st.sampled_from(["continuous", "grid", "offset", "equal"]))
+    shape = draw(st.sampled_from(
+        ["continuous", "stretched", "grid", "offset", "equal"]
+    ))
     sizes = np.array(
         draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)),
         dtype=np.int64,
@@ -412,9 +416,11 @@ def demand_sets(draw):
             draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64
         )
 
-    if shape == "continuous":
+    if shape in ("continuous", "stretched"):
         starts = column(st.floats(0.0, 1000.0))
         lengths = column(st.floats(0.0, 500.0))
+        if shape == "stretched" and n:
+            lengths[draw(st.integers(0, n - 1))] = 10 * max(lengths.max(), 1.0)
     elif shape == "grid":
         starts = column(st.integers(0, 20))
         lengths = column(st.integers(0, 5))
@@ -424,7 +430,9 @@ def demand_sets(draw):
     else:
         starts = np.full(n, draw(st.floats(0.0, 1e15)))
         lengths = np.zeros(n)
-    return starts, starts + lengths, sizes
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    return starts, starts + lengths[order], sizes[order]
 
 
 def assert_fits_equals_sweep(starts, finishes, sizes) -> None:
@@ -433,6 +441,20 @@ def assert_fits_equals_sweep(starts, finishes, sizes) -> None:
         assert demand_fits(starts, finishes, sizes, nodes) == (
             peak <= nodes
         ), nodes
+
+
+#: one job of a subnormal length: (last - first) / W overflows
+SUBNORMAL_DURATION = (
+    np.array([0.0, 1.0, 2.0]),
+    np.array([5e-324, 1.0, 2.0]),
+    np.array([3, 2, 1], dtype=np.int64),
+)
+#: starts far apart next to the longest job: more windows than jobs
+SPARSE_STARTS = (
+    np.array([0.0, 100.0, 200.0]),
+    np.array([1.0, 101.0, 201.0]),
+    np.array([3, 2, 1], dtype=np.int64),
+)
 
 
 class TestDemandFits:
@@ -444,6 +466,11 @@ class TestDemandFits:
              ).via("empty input")
     @example((np.full(5, 7.5), np.full(5, 7.5), np.arange(1, 6))
              ).via("every instant equal")
+    @example(SUBNORMAL_DURATION).via("subnormal duration")
+    @example(SPARSE_STARTS).via("more windows than jobs")
+    @example((np.array([10.0, 18.0]), np.array([20.0, 19.0]),
+              np.array([3, 4], dtype=np.int64))
+             ).via("two jobs running across a window edge")
     def test_equals_the_sweep_for_every_machine_size(self, jobs):
         assert_fits_equals_sweep(*jobs)
 
@@ -457,12 +484,41 @@ class TestDemandFits:
     ):
         assert_fits_equals_sweep(*jobs)
 
+    @pytest.mark.parametrize(
+        "jobs", [SUBNORMAL_DURATION, SPARSE_STARTS], ids=["subnormal", "sparse"]
+    )
+    def test_the_start_window_stage_hands_over(self, jobs):
+        assert kernelmod._start_window_bound(*jobs) is None
+
+    def test_the_start_window_stage_alone_decides_a_large_uncontended_trace(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("a later gate stage ran")
+
+        monkeypatch.setattr(kernelmod, "_windowed_demand_bound", refuse)
+        monkeypatch.setattr(kernelmod, "peak_concurrency", refuse)
+        rows = 2 * kernelmod.BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        starts = grid_starts(np.sort(rng.uniform(0.0, 3e7, rows)), 60.0)
+        finishes = starts + rng.uniform(600.0, 21_600.0, rows)
+        sizes = rng.integers(1, 65, rows).astype(np.int64)
+        assert demand_fits(starts, finishes, sizes, 1_000_000)
+
+    def test_unsorted_starts_raise(self):
+        starts = np.array([0.0, 20.0, 10.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            demand_fits(starts, starts + 1.0, np.ones(3, dtype=np.int64), 8)
+
     def test_the_bound_overshoots_on_the_three_job_world(self):
         # what makes the world-level test above decide on the sweep
         arrays = bound_above_peak_bundle().trace.arrays
         starts = grid_starts(arrays.submit, 60.0)
         finishes = starts + arrays.runtime
         assert starts.tolist() == [60.0, 60.0, 240.0]
+        assert kernelmod._start_window_bound(
+            starts, finishes, arrays.size
+        ) == 12
         assert kernelmod._windowed_demand_bound(
             starts, finishes, arrays.size
         ) == 12

@@ -92,6 +92,14 @@ def dc_spec(**over) -> ServiceSpec:
 
 
 class TestAdmission:
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_non_finite_advance_rejected(self, target):
+        service = build_service(dcs_spec())
+        service.submit_batch(make_jobs(3))
+        with pytest.raises(ValueError, match="not a finite time"):
+            service.advance_to(target)
+        assert service.engine.executed_events == 0
+
     def test_stale_timestamp_rejected(self):
         service = build_service(dcs_spec())
         service.submit_batch(make_jobs(3))
@@ -505,6 +513,15 @@ class TestWhatIf:
         assert result.baseline == clean.baseline
         assert result.scenario == clean.scenario
 
+    @pytest.mark.parametrize(
+        "horizon", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # a NaN horizon once ran the branches until their heaps drained
+        service = build_service(dcs_spec())
+        with pytest.raises(ValueError, match="positive and finite"):
+            WhatIfEngine(service).what_if(None, horizon)
+
     def test_delta_validation(self):
         with pytest.raises(ValueError, match="load_multiplier"):
             ScenarioDelta(load_multiplier=-0.5)
@@ -715,6 +732,34 @@ class TestServeCli:
             for line in capsys.readouterr().out.splitlines() if line
         ]
         assert lines[0]["metrics"]["service"] == "cli-svc"
+
+    def test_nan_runtime_submit_is_refused_and_the_session_ends(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        # Python's json reads NaN; such a submit once answered ok and the
+        # next advance never returned
+        script = tmp_path / "session.jsonl"
+        script.write_text(
+            '{"op": "submit", "job": {"job_id": 1, "submit_time": 60.0, '
+            '"size": 2, "runtime": NaN}}\n'
+            '{"op": "advance", "to": 1800.0}\n'
+            '{"op": "advance", "to": NaN}\n'
+            '{"op": "what-if", "horizon_s": NaN}\n'
+            '{"op": "shutdown"}\n'
+        )
+        assert main(["serve", "--script", str(script)]) == 1
+        lines = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines() if line
+        ]
+        assert [line["ok"] for line in lines] == [False, True, False, False,
+                                                  True]
+        assert "must be finite" in lines[0]["error"]["message"]
+        assert "horizon_s must be positive and finite" in (
+            lines[3]["error"]["message"]
+        )
 
     def test_failed_op_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main

@@ -53,6 +53,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
+    def test_scheduling_at_nan_rejected(self, engine):
+        # a NaN event would never be popped: ``heap[0][0] == now`` is False
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            engine.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule_batch([(1.0, print, ()), (nan, print, ())])
+        assert engine.pending_events == 0
+
     def test_events_scheduled_during_run_are_executed(self, engine):
         order = []
 

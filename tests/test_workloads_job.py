@@ -29,6 +29,29 @@ class TestJob:
         with pytest.raises(ValueError):
             make_job(1, submit=-5)
 
+    @pytest.mark.parametrize("field", ["submit", "runtime"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        # a NaN runtime once scheduled its finish event at NaN, which the
+        # engine's run loop never pops
+        with pytest.raises(ValueError, match="job 7: .* must be finite"):
+            make_job(7, **{field: value})
+
+    @pytest.mark.parametrize("column", ["submit", "runtime"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_columns_reject_non_finite_times_naming_the_job(
+        self, column, value
+    ):
+        arrays = TraceArrays(
+            job_id=np.array([4, 5, 6]),
+            submit=np.array([0.0, 60.0, 120.0]),
+            size=np.array([1, 1, 1]),
+            runtime=np.array([60.0, 60.0, 60.0]),
+        )
+        getattr(arrays, column)[1] = value
+        with pytest.raises(ValueError, match="job 5: .* must be finite"):
+            arrays.validate()
+
     def test_lifecycle_happy_path(self):
         job = make_job(1, submit=10, runtime=50)
         job.mark_queued(10)
