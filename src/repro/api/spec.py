@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -397,13 +398,18 @@ class ServiceSpec:
             raise ValueError(
                 f"service {self.name!r}: machine_nodes must be positive"
             )
-        if self.horizon_s <= 0:
-            raise ValueError(f"service {self.name!r}: horizon_s must be positive")
-        if self.window_s <= 0:
-            raise ValueError(f"service {self.name!r}: window_s must be positive")
-        if self.slo_wait_s < 0:
+        for key, value in (
+            ("horizon_s", self.horizon_s), ("window_s", self.window_s)
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"service {self.name!r}: {key} must be positive and "
+                    f"finite, got {value}"
+                )
+        if not self.slo_wait_s >= 0:
             raise ValueError(
-                f"service {self.name!r}: slo_wait_s must be non-negative"
+                f"service {self.name!r}: slo_wait_s must be non-negative, "
+                f"got {self.slo_wait_s}"
             )
         if self.max_pending <= 0:
             raise ValueError(

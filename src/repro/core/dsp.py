@@ -67,17 +67,3 @@ MODEL_COMPARISON: tuple[ModelProperties, ...] = (
     ModelProperties(UsageModel.DRP, "leased", "no offering", "manual"),
     ModelProperties(UsageModel.DSP, "leased", "created on the demand", "flexible"),
 )
-
-
-def distinguishing_properties(model: UsageModel) -> dict[str, bool]:
-    """The two §2.3 differentiators, as predicates per model.
-
-    * ``on_demand_re`` — can the resource provider create runtime
-      environments on demand for MTC/HTC service providers?
-    * ``dynamic_resize`` — can the service provider dynamically resize its
-      provisioned resources?
-    """
-    return {
-        "on_demand_re": model is UsageModel.DSP,
-        "dynamic_resize": model is UsageModel.DSP,
-    }

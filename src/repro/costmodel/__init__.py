@@ -7,11 +7,8 @@
   runs for the Beijing University of Technology grid lab.
 * :mod:`repro.costmodel.breakeven` — own-vs-lease break-even analysis,
   reserved-instance crossovers and sensitivity sweeps (extension).
-* :mod:`repro.costmodel.billing` — prices simulated node-hours into
-  monthly invoices (bridges §4.5.2's tables and §4.5.5's dollars).
 """
 
-from repro.costmodel.billing import Invoice, bill, billing_table
 from repro.costmodel.breakeven import (
     breakeven_price,
     breakeven_utilization,
@@ -38,9 +35,6 @@ __all__ = [
     "BJUT_DCS_CASE",
     "BJUT_SSP_CASE",
     "DCSCostModel",
-    "Invoice",
-    "bill",
-    "billing_table",
     "EC2_2009_SMALL",
     "EC2_2009_SMALL_RESERVED",
     "ReservedInstancePricing",

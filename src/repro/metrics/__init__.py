@@ -4,8 +4,6 @@
   (total and peak resource consumption, Figures 12-13).
 * :mod:`repro.metrics.accounting` — node-hour consumption formulas
   (Tables 2-4).
-* :mod:`repro.metrics.overhead` — adjustment counting and management
-  overhead (Figure 14, §4.5.4).
 * :mod:`repro.metrics.results` — result records shared by the systems and
   the experiment harness.
 """
@@ -17,13 +15,11 @@ from repro.metrics.jobstats import (
     compute_statistics,
     jains_fairness_index,
 )
-from repro.metrics.overhead import ManagementOverhead
 from repro.metrics.results import ProviderMetrics, ResourceProviderMetrics
 from repro.metrics.timeseries import UsageRecorder, merge_usage
 
 __all__ = [
     "JobStatistics",
-    "ManagementOverhead",
     "ProviderMetrics",
     "ResourceProviderMetrics",
     "UsageRecorder",

@@ -33,14 +33,13 @@ and the peak node demand — computed with starts-before-finishes tie
 breaking, an overestimate — must fit the machine, so no queueing decision
 ever arises (:func:`~repro.simkit.kernel.demand_fits` decides that from
 the grid starts, which are non-decreasing because the trace is in submit
-order: first from per-window start sums, then from a windowed
-scatter-add bound, and it sorts the events only when neither bound
-clears the machine).  Anything else returns a reason and the caller
-falls back to the exact engine (the deferred trace is injected with
-identical event sequence numbers, so the fallback is byte-identical to a
-never-hybrid run).  MTC/workflow runs, elastic (DawningCloud/DRP)
-systems, contended traces and in-window failures are all served by the
-exact engine.
+order: first from per-window start sums, and it sorts the events only
+when that bound does not clear the machine).  Anything else returns a
+reason and the caller falls back to the exact engine (the deferred trace
+is injected with identical event sequence numbers, so the fallback is
+byte-identical to a never-hybrid run).  MTC/workflow runs, elastic
+(DawningCloud/DRP) systems, contended traces and in-window failures are
+all served by the exact engine.
 """
 
 from __future__ import annotations
@@ -177,36 +176,32 @@ def _apply_materialized(
     submitted = 0
     start_list = starts.tolist()
     finish_list = finishes.tolist()
-    n = len(jobs)
 
-    # Arrival replay, in trace order: the queue's insertion order for
-    # jobs still waiting at the horizon is their arrival order.
+    # Arrival and dispatch replay, in trace order.  Jobs still waiting at
+    # the horizon enter the queue in arrival order.  The gate required
+    # non-decreasing starts, so trace order is also (start tick, trace
+    # index) order: the order the scans started jobs, which the running
+    # table's insertion preserves.
     for i, job in enumerate(jobs):
         if job.submit_time > horizon:
             continue
         submitted += 1
         job.mark_queued(job.submit_time)
-        if start_list[i] > horizon:
-            server.queue.push(job)
-    # Dispatch replay, in (start tick, trace index) order — the order the
-    # scans started jobs, which the running table's insertion preserves.
-    dispatch_order = np.lexsort((np.arange(n), starts))
-    for i in dispatch_order.tolist():
         start = start_list[i]
         if start > horizon:
+            server.queue.push(job)
             continue
-        job = jobs[i]
         job.mark_running(start)
         if finish_list[i] > horizon:
             server.running[job.job_id] = RunningJob(job, finish_list[i])
             server.used += job.size
     # Completion replay, in finish-event order (finish, start, trace
-    # index): starts order the seqs of simultaneous finishes, trace order
-    # breaks exact ties (same-instant dispatches were queued in trace
-    # order).
-    completion_order = np.lexsort((np.arange(n), starts, finishes))
+    # index): starts order the seqs of simultaneous finishes, and trace
+    # order breaks exact ties (same-instant dispatches were queued in
+    # trace order).  With starts in trace order, that is a stable sort
+    # by finish.
     completed = server.completed
-    for i in completion_order.tolist():
+    for i in np.argsort(finishes, kind="stable").tolist():
         if finish_list[i] <= horizon:
             jobs[i].mark_completed(finish_list[i])
             completed.append(jobs[i])

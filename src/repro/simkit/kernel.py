@@ -15,13 +15,12 @@ so the results equal the scalar computation the exact engine performs
 bit for bit; ``tests/test_differential_kernel.py`` keeps those scalar
 loops as oracles and asserts it.  The contention gate,
 :func:`demand_fits`, answers exactly what the :func:`peak_concurrency`
-sweep would, from the cheapest of three stages that clears the machine:
-per-window start sums, then a windowed scatter-add bound, then the
-sweep itself.  :func:`grid_starts` and the column passes of the bounds
-run in blocks of :data:`BLOCK_ROWS` rows: each writes into at most one
-full-size result and reuses one set of block-sized scratch arrays, so a
-pass over millions of rows does not fault in fresh full-size
-temporaries.
+sweep would, in two stages: a linear bound from per-window start sums,
+and the sweep itself only where that bound does not clear the machine.
+:func:`grid_starts` and the bound's longest-job pass run in blocks of
+:data:`BLOCK_ROWS` rows: each writes into at most one full-size result
+and reuses one set of block-sized scratch arrays, so a pass over
+millions of rows does not fault in fresh full-size temporaries.
 
 Selection (lower to higher precedence):
 
@@ -120,9 +119,9 @@ def resolve_kernel_spec(
 # column operations
 # --------------------------------------------------------------------- #
 #: Rows per block of the blocked column passes (:func:`grid_starts` and
-#: the gate's bounds).  Their temporaries hold one block and
-#: are reused block after block, so a pass over millions of rows touches
-#: no fresh memory beyond its full-size result.
+#: the gate bound's longest-job pass).  Their temporaries hold one block
+#: and are reused block after block, so a pass over millions of rows
+#: touches no fresh memory beyond its full-size result.
 BLOCK_ROWS = 1 << 15
 
 
@@ -233,50 +232,6 @@ def peak_concurrency(
     return int(np.cumsum(ordered).max())
 
 
-def _windowed_demand_bound(
-    starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray
-) -> int:
-    """An O(n) upper bound on :func:`peak_concurrency`.
-
-    ``[min start, max finish]`` is cut into n equal windows; each job
-    counts in every window from its start's to its finish's, and the
-    bound is the fullest window.  The window index
-    ``trunc((t - lo) / width)`` is monotone in t (IEEE subtraction of a
-    constant and division by a positive one both are), so every job the
-    sweep counts at an instant x (start <= x <= finish) counts in x's
-    window.  Needs ``finishes >= starts`` and non-negative sizes; the
-    integer sums are exact.
-    """
-    n = len(starts)
-    if n == 0:
-        return 0
-    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-    lo = starts.min()
-    width = (finishes.max() - lo) / n
-    if not 0.0 < width < np.inf:
-        # every instant equal (the sweep's own peak), or no usable grid
-        return int(sizes.sum())
-
-    def window(times: np.ndarray, scaled: np.ndarray, index: np.ndarray):
-        """Each time's window index, into ``index`` (``scaled`` is scratch)."""
-        np.subtract(times, lo, out=scaled)
-        np.divide(scaled, width, out=scaled)
-        np.copyto(index, scaled, casting="unsafe")
-        np.minimum(index, n, out=index)
-
-    # +size from a job's start window, -size one past its finish window
-    level = np.zeros(n + 2, dtype=np.int64)
-    for rows, (scaled, index) in _blocks(n, np.float64, np.int64):
-        block = sizes[rows]
-        window(starts[rows], scaled, index)
-        np.add.at(level, index, block)
-        window(finishes[rows], scaled, index)
-        index += 1
-        np.subtract.at(level, index, block)
-    np.cumsum(level, out=level)
-    return int(level.max())
-
-
 def _start_window_bound(
     starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray
 ) -> Optional[int]:
@@ -284,24 +239,27 @@ def _start_window_bound(
     sums, for ``starts`` in non-decreasing order; None where it cannot
     help.
 
-    Let D be the longest ``finish - start`` as float64 computes it, and W
-    the smallest power of two above D.  Every job's real duration is
-    below W: rounding is monotone and W is a float, so a real duration of
-    W or more would round to at least W > D.  The edges are the multiples
-    of W above the first start, up to the last; each is an integer below
-    2**53 times a power of two, so it is exact, and consecutive
-    edges lie at least W apart as real numbers.  They cut the starts into
-    windows (the first and last unbounded).  A job running at an instant
-    x started in ``(x - W, x]``, which meets x's window and at most the
-    one before it, so no instant sees more demand than the fullest pair
-    of adjacent windows: no slack window is needed, because no edge is
-    rounded.  No row gets a window index: ``searchsorted`` of the edges
-    into the sorted starts gives each window's first row, and
-    ``add.reduceat`` its summed sizes.
+    Let D be the longest ``finish - start`` as float64 computes it, W the
+    smallest power of two above D, and w = W/4 the window width.  Then
+    k = floor(D/w) + 1 (3 or 4, since W/2 <= D < W) is the smallest
+    integer with k*w > D, and every job's real duration is below k*w:
+    rounding is monotone and k*w is a float, so a real duration of k*w or
+    more would round to at least k*w > D.  The edges are the multiples of
+    w above the first start, up to the last; each is an integer below
+    2**53 times a power of two, so it is exact, and consecutive edges lie
+    exactly w apart.  They cut the starts into windows (the first and
+    last unbounded).  A job running at an instant x started in
+    ``(x - k*w, x]``, which meets x's window and at most the k before it,
+    so no instant sees more demand than the fullest run of k + 1 adjacent
+    windows: no slack window is needed, because no edge is rounded.  No
+    row gets a window index: ``searchsorted`` of the edges into the
+    sorted starts gives each window's first row, ``add.reduceat`` its
+    summed sizes, and differences of their running total each run's sum.
 
-    Hands over (None) when D is zero or not finite, when the multipliers
-    leave the exact integer range, or when there would be more windows
-    than jobs (a subnormal D, or jobs far apart).
+    Hands over (None) when D is zero or not finite, when W overflows or w
+    underflows to zero (a subnormal D), when the multipliers leave the
+    exact integer range, or when there would be more windows than jobs
+    (jobs far apart).
     """
     n = len(starts)
     longest = np.float64(0.0)
@@ -311,9 +269,11 @@ def _start_window_bound(
     if not 0.0 < longest < np.inf:
         return None
     _, exponent = math.frexp(longest)  # longest < 2**exponent
-    if exponent > 1023:
+    # W/4: the coarsest split whose bound clears perf_smoke.py's
+    # hybrid-kernel machine (65,536 nodes; W/2 reads 78,565 there)
+    width = math.ldexp(1.0, exponent - 2)
+    if exponent > 1023 or width == 0.0:
         return None
-    width = math.ldexp(1.0, exponent)
     first = float(starts[0]) / width
     last = float(starts[-1]) / width
     if not (-(2.0**53) < first and last < 2.0**53 and last - first < n - 1):
@@ -326,34 +286,29 @@ def _start_window_bound(
     sums = np.add.reduceat(sizes, heads)
     # reduceat yields one row's size, not 0, for an empty window
     sums[:-1][heads[1:] == heads[:-1]] = 0
-    if len(sums) == 1:
-        return int(sums[0])
-    return int((sums[1:] + sums[:-1]).max())
+    k = math.floor(longest / width) + 1
+    total = np.concatenate(([0], np.cumsum(sums)))
+    span = min(k + 1, len(sums))  # fewer windows: one run holds them all
+    return int((total[span:] - total[:-span]).max())
 
 
 def demand_fits(
     starts: np.ndarray, finishes: np.ndarray, sizes: np.ndarray, nodes: int
 ) -> bool:
-    """``peak_concurrency(starts, finishes, sizes) <= nodes``, cheapest
-    stage first.
+    """``peak_concurrency(starts, finishes, sizes) <= nodes``, from a
+    linear bound where it clears the machine.
 
     ``starts`` must be non-decreasing (the fluid tier passes the grid
     starts of a trace in submit order, and :func:`grid_starts` is
-    monotone); anything else raises ``ValueError``.  Three stages, each
-    an upper bound on the exact peak, so a stage that clears the machine
-    decides alone:
-
-    1. :func:`_start_window_bound`: per-window start sums over windows
-       wider than the longest job, one read of the columns;
-    2. :func:`_windowed_demand_bound`: n windows over the whole span,
-       each job scattered into the windows it runs through;
-    3. the exact :func:`peak_concurrency` sweep, a lexsort of 2n events.
+    monotone); anything else raises ``ValueError``.
+    :func:`_start_window_bound`, one read of the columns, is an upper
+    bound on the exact peak, so it decides alone when it clears the
+    machine; otherwise the exact :func:`peak_concurrency` sweep, a
+    lexsort of 2n events, decides.
     """
     if not (starts[1:] >= starts[:-1]).all():
         raise ValueError("demand_fits needs starts in non-decreasing order")
     bound = _start_window_bound(starts, finishes, sizes)
     if bound is not None and bound <= nodes:
-        return True
-    if _windowed_demand_bound(starts, finishes, sizes) <= nodes:
         return True
     return peak_concurrency(starts, finishes, sizes) <= nodes

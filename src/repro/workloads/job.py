@@ -557,8 +557,10 @@ class Trace:
     def _check_shape(self) -> None:
         if self.machine_nodes <= 0:
             raise ValueError("machine_nodes must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
 
     # ------------------------------------------------------------------ #
     @property

@@ -108,11 +108,11 @@ def contended_bundle(n: int = 400) -> WorkloadBundle:
 
 
 def bound_above_peak_bundle() -> WorkloadBundle:
-    """Three 4-node jobs on 8 nodes whose windowed bound overshoots.
+    """Three 4-node jobs on 8 nodes whose start-window bound overshoots.
 
     Dispatched at the 60 s and 240 s ticks, at most two run at once, so
-    the exact peak is 8; all three start in the first of three windows,
-    where the long job also runs, so the windowed bound reads 12.
+    the exact peak is 8; all three start in one 256 s window (a quarter
+    of the power of two above the 1000 s job), so the bound reads 12.
     """
     arrays = TraceArrays(
         np.arange(3, dtype=np.int64),
@@ -124,6 +124,26 @@ def bound_above_peak_bundle() -> WorkloadBundle:
         "bound-above-peak", arrays, machine_nodes=8, duration=2000.0
     )
     return WorkloadBundle.from_trace("bound-above-peak", trace)
+
+
+def replay_order_bundle() -> WorkloadBundle:
+    """Seven jobs whose replay order shows at the 1000 s horizon.
+
+    Jobs 0, 1 and 3 finish together at 260 s after starting at the 60,
+    120 and 240 s ticks, so the completion order of a shared instant
+    follows the starts; jobs 4 and 5 start at the 300 s tick and still
+    run at the horizon, and job 6 still waits for its tick.
+    """
+    arrays = TraceArrays(
+        np.arange(7, dtype=np.int64),
+        np.array([10.0, 70.0, 130.0, 190.0, 250.0, 260.0, 990.0]),
+        np.array([2, 3, 1, 4, 2, 1, 1], dtype=np.int64),
+        np.array([200.0, 140.0, 60.0, 20.0, 2000.0, 1500.0, 10.0]),
+    )
+    trace = Trace.from_arrays(
+        "replay-order", arrays, machine_nodes=16, duration=1000.0
+    )
+    return WorkloadBundle.from_trace("replay-order", trace)
 
 
 @pytest.fixture
@@ -142,10 +162,11 @@ def world_fingerprint(run: FixedLiveRun) -> dict:
             for j in server.completed
         ],
         "queued": [j.job_id for j in server.queue],
-        "running": {
-            job_id: (r.job.start_time, r.finish_time)
+        # in insertion order: the order the scans started the jobs
+        "running": [
+            (job_id, r.job.start_time, r.finish_time)
             for job_id, r in server.running.items()
-        },
+        ],
         "submitted": server.submitted_jobs,
         "used": server.used,
         "usage_events": server.usage.events,
@@ -179,6 +200,20 @@ class TestUncontendedBackends:
         self, system, small_blocks
     ):
         self.test_fluid_world_equals_exact_world(system)
+
+    @pytest.mark.parametrize("system", ["DCS", "SSP"])
+    def test_replay_keeps_the_exact_engines_orders(self, system):
+        bundle = replay_order_bundle()
+        exact = FixedLiveRun(bundle, system, kernel="off")
+        exact.complete()
+        hybrid = FixedLiveRun(bundle, system, kernel="numpy")
+        hybrid.complete()
+        assert hybrid.fluid_applied
+        assert world_fingerprint(hybrid) == world_fingerprint(exact)
+        server = hybrid.server
+        assert [j.job_id for j in server.completed] == [2, 0, 1, 3]
+        assert list(server.running) == [4, 5]
+        assert [j.job_id for j in server.queue] == [6]
 
     @pytest.mark.parametrize("system", ["DCS", "SSP"])
     def test_fluid_engages_where_only_the_exact_peak_fits(self, system):
@@ -399,7 +434,7 @@ def demand_sets(draw):
     """(starts, finishes, sizes) of up to 40 jobs in stable start order,
     as the fluid tier passes them, in one of five shapes: continuous
     times, continuous with one job ten times longer than the longest (the
-    start-window stage overshoots and a later stage decides), a coarse
+    start-window bound overshoots and the sweep decides), a coarse
     integer grid (ties, touching and zero-length jobs), offsets near 1e15
     (an ulp of 0.125) or one instant shared by every start and finish."""
     n = draw(st.integers(0, 40))
@@ -443,7 +478,7 @@ def assert_fits_equals_sweep(starts, finishes, sizes) -> None:
         ), nodes
 
 
-#: one job of a subnormal length: (last - first) / W overflows
+#: one job of a subnormal length: the window width W/4 underflows to 0
 SUBNORMAL_DURATION = (
     np.array([0.0, 1.0, 2.0]),
     np.array([5e-324, 1.0, 2.0]),
@@ -454,6 +489,14 @@ SPARSE_STARTS = (
     np.array([0.0, 100.0, 200.0]),
     np.array([1.0, 101.0, 201.0]),
     np.array([3, 2, 1], dtype=np.int64),
+)
+#: D = 15.5 gives windows w = 4 and k = 4: the long job, started in the
+#: first window, still runs when the last job starts four windows later.
+#: Peak 9; all k + 1 windows sum to 12, the fullest k only to 8.
+STARTED_K_WINDOWS_BEFORE = (
+    np.array([3.9, 5.0, 9.0, 13.0, 18.0]),
+    np.array([3.9 + 15.5, 5.0, 9.0, 13.0, 18.5]),
+    np.array([5, 1, 1, 1, 4], dtype=np.int64),
 )
 
 
@@ -471,6 +514,7 @@ class TestDemandFits:
     @example((np.array([10.0, 18.0]), np.array([20.0, 19.0]),
               np.array([3, 4], dtype=np.int64))
              ).via("two jobs running across a window edge")
+    @example(STARTED_K_WINDOWS_BEFORE).via("a job started k windows before")
     def test_equals_the_sweep_for_every_machine_size(self, jobs):
         assert_fits_equals_sweep(*jobs)
 
@@ -494,9 +538,8 @@ class TestDemandFits:
         self, monkeypatch
     ):
         def refuse(*args):
-            raise AssertionError("a later gate stage ran")
+            raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(kernelmod, "_windowed_demand_bound", refuse)
         monkeypatch.setattr(kernelmod, "peak_concurrency", refuse)
         rows = 2 * kernelmod.BLOCK_ROWS + 3
         rng = np.random.default_rng(5)
@@ -504,6 +547,19 @@ class TestDemandFits:
         finishes = starts + rng.uniform(600.0, 21_600.0, rows)
         sizes = rng.integers(1, 65, rows).astype(np.int64)
         assert demand_fits(starts, finishes, sizes, 1_000_000)
+
+    def test_the_start_window_stage_clears_the_perf_smoke_machine(self):
+        # perf_smoke.py's hybrid-kernel trace: 120k jobs up to 6 h long
+        from repro.experiments.perfscale import build_uniform_trace
+
+        arrays = build_uniform_trace(
+            0, 65_536, 120_000, 30 * 86400.0, name="hybrid-bench"
+        ).trace.arrays
+        starts = grid_starts(arrays.submit, 60.0)
+        finishes = starts + arrays.runtime
+        assert kernelmod._start_window_bound(
+            starts, finishes, arrays.size
+        ) <= 65_536
 
     def test_unsorted_starts_raise(self):
         starts = np.array([0.0, 20.0, 10.0])
@@ -517,9 +573,6 @@ class TestDemandFits:
         finishes = starts + arrays.runtime
         assert starts.tolist() == [60.0, 60.0, 240.0]
         assert kernelmod._start_window_bound(
-            starts, finishes, arrays.size
-        ) == 12
-        assert kernelmod._windowed_demand_bound(
             starts, finishes, arrays.size
         ) == 12
         assert peak_concurrency(starts, finishes, arrays.size) == 8

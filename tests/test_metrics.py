@@ -8,7 +8,6 @@ from repro.metrics.accounting import (
     savings_vs_baseline,
     work_node_hours,
 )
-from repro.metrics.overhead import ManagementOverhead
 from repro.metrics.results import ProviderMetrics, ResourceProviderMetrics
 from repro.metrics.timeseries import UsageRecorder, merge_usage
 from tests.conftest import make_job, make_trace
@@ -108,20 +107,6 @@ class TestAccountingFormulas:
     def test_savings_needs_positive_baseline(self):
         with pytest.raises(ValueError):
             savings_vs_baseline(1, 0)
-
-
-class TestOverhead:
-    def test_totals(self):
-        oh = ManagementOverhead("DawningCloud")
-        oh.add(100)
-        assert oh.adjusted_nodes == 100
-        assert oh.total_overhead_s == pytest.approx(1574.3)
-
-    def test_per_hour(self):
-        oh = ManagementOverhead("x", adjusted_nodes=200)
-        assert oh.overhead_s_per_hour(2 * HOUR) == pytest.approx(
-            200 * 15.743 / 2
-        )
 
 
 class TestResultRecords:

@@ -36,6 +36,7 @@ GOLDEN_SCENARIOS = (
     "checkpoint-interval-ablation",
     "drp-vs-fixed-under-failures",
     "spot-preemption-as-failure",
+    "million-node-year",
 )
 
 #: node-hours per system, standalone runs at seed 0, capacity 420
@@ -133,6 +134,34 @@ GOLDEN_SPOT_PREEMPTION = {
     (48.0, True): (69725.0, 2603, 0.477),
     (96.0, False): (185801.0, 2602, -0.392),
     (96.0, True): (55510.0, 2603, 0.584),
+}
+
+#: million-node-year at seed 0: one simulated year of DCS and SSP on 10**6
+#: nodes, evolved in closed form by the fluid tier's columnar path
+#: (compared as canonical JSON, so an integer turning float drifts too)
+GOLDEN_MILLION_NODE_YEAR = {
+    "horizon_s": 31536000.0,
+    "kernel": "numpy",
+    "n_jobs": 2000000,
+    "nodes": 1000000,
+    "systems": {
+        system: {
+            "adjusted_nodes": adjusted,
+            "completed_jobs": 2000000,
+            "makespan_s": None,
+            "peak_nodes": 1000000.0,
+            "provider": "perfscale",
+            "resource_consumption": consumption,
+            "submitted_jobs": 2000000,
+            "system": system,
+            "tasks_per_second": None,
+            "workload": "perfscale",
+        }
+        for system, adjusted, consumption in (
+            ("DCS", 0, 8760000000),
+            ("SSP", 2000000, 8760000000.0),
+        )
+    },
 }
 
 
@@ -298,6 +327,13 @@ def test_reliability_sweep_parallel_matches_serial(tmp_path):
     )
     assert not any(run.cached for run in serial.values())
     assert not any(run.cached for run in parallel.values())
+
+
+def test_million_node_year_pinned(golden_runs):
+    from repro.experiments.cache import canonical_json
+
+    payload = golden_runs["million-node-year"].payload
+    assert canonical_json(payload) == canonical_json(GOLDEN_MILLION_NODE_YEAR)
 
 
 def test_tco_and_breakeven_pinned(golden_runs):

@@ -573,6 +573,23 @@ class TestServiceSpec:
         with pytest.raises(ValueError, match="window_s"):
             dcs_spec(window_s=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["horizon_s", "window_s"])
+    def test_non_finite_durations_rejected(self, key, value):
+        # every comparison with NaN is False, so `<= 0` let it through
+        with pytest.raises(
+            ValueError, match=f"{key} must be positive and finite, got {value}"
+        ):
+            dcs_spec(**{key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_slo_wait_must_be_a_non_negative_number(self, value):
+        with pytest.raises(
+            ValueError, match=f"slo_wait_s must be non-negative, got {value}"
+        ):
+            dcs_spec(slo_wait_s=value)
+        dcs_spec(slo_wait_s=0.0)
+
     def test_load_service_file(self, tmp_path):
         path = tmp_path / "svc.json"
         path.write_text(json.dumps(
@@ -767,6 +784,19 @@ class TestServeCli:
         script = tmp_path / "session.jsonl"
         script.write_text('{"op": "frobnicate"}\n{"op": "shutdown"}\n')
         assert main(["serve", "--script", str(script)]) == 1
+
+    def test_nan_horizon_service_file_exits_one(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "svc.toml"
+        spec.write_text(
+            'name = "nan-svc"\nsystem = "dcs"\nmachine_nodes = 4\n'
+            "horizon_s = nan\n"
+        )
+        assert main(["serve", "--service", str(spec)]) == 1
+        assert "horizon_s must be positive and finite, got nan" in (
+            capsys.readouterr().err
+        )
 
     def test_bad_service_file_reports_error(self, tmp_path, capsys):
         from repro.cli import main

@@ -110,6 +110,20 @@ class TestTrace:
         with pytest.raises(ValueError):
             make_trace([make_job(1, size=32)], nodes=16)
 
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_duration_must_be_positive_and_finite(self, duration):
+        # a NaN duration becomes a run's horizon, which the engine's
+        # run(until=...) loop never reaches
+        expected = "duration must be positive and finite"
+        with pytest.raises(ValueError, match=expected):
+            make_trace([make_job(1)], duration=duration)
+        with pytest.raises(ValueError, match=expected):
+            Trace.from_arrays(
+                "t", shuffled_columns(), machine_nodes=16, duration=duration
+            )
+
     def test_utilization(self):
         trace = make_trace([make_job(1, size=8, runtime=3600)], nodes=16,
                            duration=3600)
